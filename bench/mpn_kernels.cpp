@@ -76,7 +76,7 @@ bm_divrem(benchmark::State& state)
     for (auto _ : state)
         mpn::divrem(q.data(), r.data(), a.data(), 2 * n, d.data(), n);
 }
-BENCHMARK(bm_divrem)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK(bm_divrem)->Arg(64)->Arg(512)->Arg(4096)->Arg(9622);
 
 void
 bm_sqrtrem(benchmark::State& state)

@@ -8,6 +8,8 @@
  * and records machine-readable numbers in BENCH_perf_smoke.json.
  * Speedup tracks the host: on a single-core runner the pooled path is
  * expected near 1.0x and the JSON row is the honest record of that.
+ * A division row hard-asserts that a 2n/n divrem at n = 9622 costs at
+ * most 1.5x one at n = 9600 (Burnikel–Ziegler's odd-size cliff).
  *
  * The binary also measures the observability layer itself:
  *  - trace_off row: cost of a *disabled* trace::Span (the always-paid
@@ -21,6 +23,7 @@
  */
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -28,6 +31,7 @@
 #include "exec/cpu_device.hpp"
 #include "exec/wave.hpp"
 #include "mpapca/runtime.hpp"
+#include "mpn/div.hpp"
 #include "mpn/view.hpp"
 #include "mpn/kernels/kernels.hpp"
 #include "mpn/kernels/soa.hpp"
@@ -298,6 +302,61 @@ main()
                  {{"allocs", static_cast<double>(wave_allocs)},
                   {"reduction", ratio},
                   {"speedup", copy_s / wave_s}});
+    }
+
+    section("division: 2n/n at n = 9622 vs n = 9600");
+    {
+        // 9622 = 2 * 4811 halves once to an odd size far above the
+        // Burnikel–Ziegler threshold; divrem's m * 2^k divisor blocking
+        // keeps it on the recursion, so it must cost about what the
+        // neighbouring 9600 does (a quadratic Knuth fallback at 4811
+        // limbs measured ~4x). Both sizes are timed in alternation and
+        // the median of the per-trial ratios is gated at 1.5x.
+        const auto division = [&](std::size_t n) -> std::function<void()> {
+            std::vector<camp::mpn::Limb> a(2 * n), d(n);
+            for (auto& limb : a)
+                limb = rng.next();
+            for (auto& limb : d)
+                limb = rng.next();
+            d.back() |= camp::mpn::Limb{1} << 63;
+            return [a, d, q = std::vector<camp::mpn::Limb>(n + 1),
+                    r = std::vector<camp::mpn::Limb>(n)]() mutable {
+                camp::mpn::divrem(q.data(), r.data(), a.data(), a.size(),
+                                  d.data(), d.size());
+            };
+        };
+        const std::function<void()> even = division(9600);
+        const std::function<void()> cliff = division(9622);
+        const TimingOptions once{
+            .warmup = 0, .max_runs = 1, .min_seconds = 0};
+        even(); // warm the allocator and the pool
+        // Serial, 9 pairs, the order alternating: both sizes block to
+        // 9728 limbs, and 15 such runs on a loaded 4-vCPU host gave
+        // median ratios of 0.77-1.06 (pooled, up to 1.40).
+        camp::support::SerialGuard serial;
+        constexpr int kTrials = 9;
+        std::vector<double> cliff_s, ratios;
+        for (int t = 0; t < kTrials; ++t) {
+            double even_t, cliff_t;
+            if (t % 2 == 0) {
+                even_t = time_call(even, once);
+                cliff_t = time_call(cliff, once);
+            } else {
+                cliff_t = time_call(cliff, once);
+                even_t = time_call(even, once);
+            }
+            cliff_s.push_back(cliff_t);
+            ratios.push_back(cliff_t / even_t);
+        }
+        const auto median = [](std::vector<double> v) {
+            std::sort(v.begin(), v.end());
+            return v[v.size() / 2];
+        };
+        const double ratio = median(ratios);
+        const double bytes = 3.0 * 9622 * 8.0;
+        json.add("div_2n1n_9622", 9622 * 64, 1, median(cliff_s), bytes,
+                 {{"ratio_vs_9600", ratio}});
+        CAMP_ASSERT(ratio <= 1.5);
     }
 
     // The tentpole gate: with any SIMD tier active, at least one gated

@@ -104,7 +104,9 @@ main()
          }});
     algos.push_back(
         {"Div Burnikel-Ziegler", "O(n^~1.6)",
-         {512, 1024, 2048, 4096, 8192},
+         // Powers of two next to 2 * odd sizes, whose halving ends on
+         // a large odd number (770 = 2 * 385 ... 9622 = 2 * 4811).
+         {512, 770, 1024, 1538, 2048, 3074, 4096, 6146, 8192, 9622},
          [](const auto& a, const auto& b, auto& r) {
              // Divide a 2n-limb value (a concatenated twice) by b.
              std::vector<Limb> wide(a.size() * 2);

@@ -161,13 +161,16 @@ div_3n_2n(Limb* qp, Limb* ap, std::size_t n2, const Limb* dp)
 /**
  * Burnikel–Ziegler 2n-by-n step. a is a 2n-limb in-place dividend with
  * a[n..2n) < d (n limbs, normalized). Writes n quotient limbs, leaves
- * the remainder in a[0..n) and zeros a[n..2n).
+ * the remainder in a[0..n) and zeros a[n..2n). n must halve evenly
+ * down to the Knuth base case (divrem blocks the divisor to m * 2^k).
  */
 void
 div_2n_1n(Limb* qp, Limb* ap, std::size_t n, const Limb* dp)
 {
     CAMP_ASSERT(cmp_n(ap + n, dp, n) < 0);
-    if ((n & 1) != 0 || n <= div_tuning().bz) {
+    const std::size_t bz = div_tuning().bz;
+    CAMP_ASSERT(n <= bz || n % 2 == 0);
+    if (n <= bz) {
         std::vector<Limb> q(n + 1);
         knuth_inplace(q.data(), ap, 2 * n, dp, n);
         CAMP_ASSERT(q[n] == 0);
@@ -180,6 +183,16 @@ div_2n_1n(Limb* qp, Limb* ap, std::size_t n, const Limb* dp)
     div_3n_2n(qp, ap, n, dp);
 }
 
+/** rp = ap << s over n limbs (s < kLimbBits); returns the bits out. */
+Limb
+shift_up(Limb* rp, const Limb* ap, std::size_t n, unsigned s)
+{
+    if (s != 0)
+        return lshift(rp, ap, n, s);
+    copy(rp, ap, n);
+    return 0;
+}
+
 } // namespace
 
 void
@@ -188,98 +201,65 @@ divrem(Limb* qp, Limb* rp, const Limb* ap, std::size_t an,
 {
     CAMP_ASSERT(dn >= 1 && an >= dn);
     CAMP_ASSERT(dp[dn - 1] != 0);
+    const std::size_t qn = an - dn + 1;
+    const std::size_t an1 = normalized_size(ap, an);
+    if (an1 < dn || (an1 == dn && cmp_n(ap, dp, dn) < 0)) {
+        zero(qp, qn);
+        copy(rp, ap, an1);
+        zero(rp + an1, dn - an1);
+        return;
+    }
     if (dn == 1) {
         rp[0] = divrem_1(qp, ap, an, dp[0]);
         return;
     }
 
-    // Bit-normalize so the divisor's top bit is set.
+    // Burnikel–Ziegler blocks the divisor to DN = m * 2^k limbs with
+    // m <= bz by padding both operands with DN - dn low zero limbs (the
+    // quotient is unchanged, the remainder gains the same zero limbs),
+    // so every recursion level halves evenly down to Knuth at m limbs.
+    const std::size_t bz = div_tuning().bz;
+    CAMP_ASSERT(bz >= 2);
+    std::size_t m = dn, k = 0;
+    for (; m > bz; ++k)
+        m = (m + 1) / 2; // ceil(dn / 2^k)
+    const std::size_t DN = m << k;
+    const std::size_t pad = DN - dn;
+    const bool recursive = k > 0;
+
+    // Bit-normalize straight into the padded buffers so the divisor's
+    // top bit is set.
     const unsigned s =
         static_cast<unsigned>(64 - camp::bit_length(dp[dn - 1]));
-    std::vector<Limb> d2(dn);
-    if (s == 0)
-        copy(d2.data(), dp, dn);
-    else
-        lshift(d2.data(), dp, dn, s);
-    std::vector<Limb> u2(an + 1);
-    if (s == 0) {
-        copy(u2.data(), ap, an);
-        u2[an] = 0;
+    std::vector<Limb> d(DN, 0);
+    shift_up(d.data() + pad, dp, dn, s);
+    // Knuth runs one pass over the whole dividend (plus a zero top
+    // limb); Burnikel–Ziegler runs one 2n/n step per DN-limb block of
+    // the un - DN + 1 quotient limbs, top block first, and reads up to
+    // DN limbs above un.
+    std::vector<Limb> u(pad + an1 + 1 + (recursive ? DN : 1), 0);
+    u[pad + an1] = shift_up(u.data() + pad, ap, an1, s);
+    const std::size_t un = normalized_size(u.data(), pad + an1 + 1);
+    const std::size_t blocks = un / DN;
+    std::vector<Limb> q(recursive ? blocks * DN : un - dn + 1);
+    if (recursive) {
+        for (std::size_t b = blocks; b-- > 0;)
+            div_2n_1n(q.data() + b * DN, u.data() + b * DN, DN, d.data());
     } else {
-        u2[an] = lshift(u2.data(), ap, an, s);
-    }
-    std::size_t un = an + (u2[an] != 0 ? 1 : 0);
-    const std::size_t qn = an - dn + 1;
-
-    if (dn <= div_tuning().bz) {
-        std::vector<Limb> q(un - dn + 1 + 1, 0);
-        u2.push_back(0);
-        knuth_core(q.data(), u2.data(), un, d2.data(), dn);
-        CAMP_ASSERT(normalized_size(q.data() + qn, q.size() - qn) == 0);
-        copy(qp, q.data(), qn);
-        if (s == 0)
-            copy(rp, u2.data(), dn);
-        else
-            rshift(rp, u2.data(), dn, s);
-        return;
+        knuth_core(q.data(), u.data(), un, d.data(), dn);
     }
 
-    // Burnikel–Ziegler, chunked over dn-limb quotient blocks. Scale by
-    // one limb when dn is odd so the recursion splits evenly.
-    const bool scaled = (dn & 1) != 0;
-    const std::size_t DN = dn + (scaled ? 1 : 0);
-    std::vector<Limb> d3(DN);
-    if (scaled) {
-        d3[0] = 0;
-        copy(d3.data() + 1, d2.data(), dn);
-    } else {
-        copy(d3.data(), d2.data(), dn);
-    }
-    std::size_t UN = (scaled ? 1 : 0) + un;
-    std::vector<Limb> u3(UN);
-    if (scaled) {
-        u3[0] = 0;
-        copy(u3.data() + 1, u2.data(), un);
-    } else {
-        copy(u3.data(), u2.data(), un);
-    }
-    UN = normalized_size(u3.data(), UN);
-
-    if (UN < DN || (UN == DN && cmp_n(u3.data(), d3.data(), DN) < 0)) {
-        // Quotient is zero; remainder is the (scaled) dividend.
-        zero(qp, qn);
-        std::vector<Limb> r3(DN, 0);
-        copy(r3.data(), u3.data(), UN);
-        const Limb* r2 = r3.data() + (scaled ? 1 : 0);
-        CAMP_ASSERT(!scaled || r3[0] == 0);
-        if (s == 0)
-            copy(rp, r2, dn);
-        else
-            rshift(rp, r2, dn, s);
-        return;
-    }
-
-    const std::size_t qn3 = UN - DN + 1;
-    const std::size_t blocks = (qn3 + DN - 1) / DN;
-    std::vector<Limb> A(blocks * DN + DN, 0);
-    copy(A.data(), u3.data(), UN);
-    std::vector<Limb> Q(blocks * DN, 0);
-    for (std::size_t b = blocks; b-- > 0;)
-        div_2n_1n(Q.data() + b * DN, A.data() + b * DN, DN, d3.data());
-
-    // Q holds qn3 meaningful limbs; the caller-visible quotient width qn
-    // can be larger (unnormalized dividend) or smaller (scaling).
-    const std::size_t have = std::min(qn, Q.size());
-    copy(qp, Q.data(), have);
+    // q can be wider than the caller-visible quotient (block rounding,
+    // the shift's carry limb) or narrower (high zero dividend limbs).
+    const std::size_t have = std::min(qn, q.size());
+    copy(qp, q.data(), have);
     zero(qp + have, qn - have);
-    if (Q.size() > qn)
-        CAMP_ASSERT(normalized_size(Q.data() + qn, Q.size() - qn) == 0);
-    const Limb* r2 = A.data() + (scaled ? 1 : 0);
-    CAMP_ASSERT(!scaled || A[0] == 0);
+    CAMP_ASSERT(normalized_size(q.data() + have, q.size() - have) == 0);
+    CAMP_ASSERT(normalized_size(u.data(), pad) == 0);
     if (s == 0)
-        copy(rp, r2, dn);
+        copy(rp, u.data() + pad, dn);
     else
-        rshift(rp, r2, dn, s);
+        rshift(rp, u.data() + pad, dn, s);
 }
 
 } // namespace camp::mpn

@@ -33,7 +33,10 @@ Limb divrem_1(Limb* qp, const Limb* ap, std::size_t n, Limb d);
 void divrem(Limb* qp, Limb* rp, const Limb* ap, std::size_t an,
             const Limb* dp, std::size_t dn);
 
-/** Threshold (divisor limbs) above which Burnikel–Ziegler is used. */
+/**
+ * Threshold (divisor limbs, >= 2) above which Burnikel–Ziegler is used;
+ * it also caps the Knuth base case of the recursion (DESIGN.md §17).
+ */
 struct DivTuning
 {
     std::size_t bz = 48;

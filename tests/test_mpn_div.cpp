@@ -82,6 +82,28 @@ check_divrem(const std::vector<Limb>& a, const std::vector<Limb>& d)
     EXPECT_EQ(mpn::cmp_n(prod.data(), a.data(), an), 0);
 }
 
+/**
+ * Divides a by d at the shipped Burnikel–Ziegler threshold and again
+ * with pure Knuth-D; quotient and remainder must agree limb for limb.
+ */
+void
+expect_bz_matches_knuth(const std::vector<Limb>& a,
+                        const std::vector<Limb>& d)
+{
+    const std::size_t an = a.size(), dn = d.size();
+    std::vector<Limb> q_bz(an - dn + 1), r_bz(dn);
+    std::vector<Limb> q_kn(an - dn + 1), r_kn(dn);
+    auto& tuning = mpn::div_tuning();
+    const std::size_t saved = tuning.bz;
+    ASSERT_EQ(saved, mpn::DivTuning{}.bz);
+    mpn::divrem(q_bz.data(), r_bz.data(), a.data(), an, d.data(), dn);
+    tuning.bz = 1u << 30; // pure Knuth-D
+    mpn::divrem(q_kn.data(), r_kn.data(), a.data(), an, d.data(), dn);
+    tuning.bz = saved;
+    ASSERT_EQ(q_bz, q_kn);
+    ASSERT_EQ(r_bz, r_kn);
+}
+
 } // namespace
 
 TEST(MpnDiv, DivRem1MatchesU128)
@@ -258,6 +280,75 @@ TEST(MpnDiv, DifferentialFuzzKnuthVsBurnikelZiegler)
         // Multiply-back identity on the agreed result.
         check_divrem(a, d);
     }
+}
+
+TEST(MpnDiv, BlockedDivisorShapesMatchKnuth)
+{
+    // Divisor sizes whose plain halving ends on an odd size above the
+    // threshold, so they only reach the Knuth base case through the
+    // m * 2^k blocking: 2p and 4p for primes p > 48, and m * 2^k +- 1.
+    camp::Rng rng(26);
+    std::vector<std::size_t> sizes;
+    for (const std::size_t p : {53u, 97u, 131u, 257u, 521u}) {
+        sizes.push_back(2 * p);
+        sizes.push_back(4 * p);
+    }
+    for (const std::size_t mk : {25u * 4, 37u * 8, 48u * 16, 1024u})
+        for (const std::size_t dn : {mk - 1, mk + 1})
+            sizes.push_back(dn);
+    for (const std::size_t dn : sizes) {
+        SCOPED_TRACE("dn=" + std::to_string(dn));
+        const auto d = random_limbs(rng, dn, true);
+        expect_bz_matches_knuth(random_limbs(rng, 2 * dn), d);
+        // All-ones dividend: qhat corrections at every level.
+        expect_bz_matches_knuth(
+            std::vector<Limb>(2 * dn + 3, mpn::kLimbMax), d);
+    }
+}
+
+TEST(MpnDiv, EveryDivisorSizeOfTheFirstRecursionLevels)
+{
+    // Every dn up to 8 * bz: block sizes m * 2^k for k = 1..3 with
+    // every padding the rounding can produce.
+    camp::Rng rng(27);
+    const std::size_t bz = mpn::DivTuning{}.bz;
+    for (std::size_t dn = bz - 2; dn <= 8 * bz; ++dn) {
+        SCOPED_TRACE("dn=" + std::to_string(dn));
+        expect_bz_matches_knuth(random_limbs(rng, 2 * dn + 1 + dn % 5),
+                                random_limbs(rng, dn, true));
+    }
+}
+
+TEST(MpnDiv, PiFinalDivisionShapeMatchesKnuth)
+{
+    // The final numerator / T of 1e5-digit Pi: 14813 / 9621 limbs.
+    camp::Rng rng(28);
+    const auto a = random_limbs(rng, 14813);
+    const auto d = random_limbs(rng, 9621, true);
+    expect_bz_matches_knuth(a, d);
+    check_divrem(a, d);
+}
+
+TEST(MpnDiv, UnbalancedQuotientShapesMatchKnuth)
+{
+    camp::Rng rng(29);
+    // qn << dn: a handful of quotient limbs over a large divisor.
+    for (const std::size_t dn : {49u, 211u, 1000u, 3001u})
+        for (const std::size_t qn : {1u, 2u, 7u}) {
+            SCOPED_TRACE("dn=" + std::to_string(dn) +
+                         " qn=" + std::to_string(qn));
+            expect_bz_matches_knuth(random_limbs(rng, dn + qn - 1),
+                                    random_limbs(rng, dn, true));
+        }
+    // qn >> dn: many DN-limb quotient blocks.
+    for (const std::size_t dn : {49u, 97u, 203u})
+        for (const std::size_t blocks : {9u, 31u}) {
+            SCOPED_TRACE("dn=" + std::to_string(dn) +
+                         " blocks=" + std::to_string(blocks));
+            expect_bz_matches_knuth(
+                random_limbs(rng, blocks * dn + dn / 3),
+                random_limbs(rng, dn, true));
+        }
 }
 
 TEST(MpnDiv, NewtonMatchesKnuthDifferential)
