@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -135,6 +136,11 @@ INSTANTIATE_TEST_SUITE_P(
 struct ToomCase
 {
     unsigned k;
+    // Fills what would otherwise be padding. gtest names each case by
+    // dumping the struct's bytes, so padding left uninitialised gave the
+    // cases a different name in every build. The values reproduce the
+    // names under which the cases were first recorded; the test ignores them.
+    std::uint32_t name_tag;
     std::size_t an, bn;
 };
 
@@ -144,7 +150,9 @@ class ToomShapes : public ::testing::TestWithParam<ToomCase>
 
 TEST_P(ToomShapes, MatchesSchoolbook)
 {
-    const auto [k, an, bn] = GetParam();
+    const ToomCase& c = GetParam();
+    const unsigned k = c.k;
+    const std::size_t an = c.an, bn = c.bn;
     camp::Rng rng(200 + k * 1000 + an * 7 + bn);
     for (int iter = 0; iter < 5; ++iter) {
         const auto a = random_limbs(rng, an);
@@ -158,13 +166,16 @@ TEST_P(ToomShapes, MatchesSchoolbook)
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ToomShapes,
-    ::testing::Values(ToomCase{3, 9, 8}, ToomCase{3, 12, 12},
-                      ToomCase{3, 17, 13}, ToomCase{3, 30, 25},
-                      ToomCase{3, 31, 23}, ToomCase{4, 16, 16},
-                      ToomCase{4, 20, 17}, ToomCase{4, 35, 28},
-                      ToomCase{4, 40, 40}, ToomCase{6, 36, 36},
-                      ToomCase{6, 48, 41}, ToomCase{6, 60, 55},
-                      ToomCase{6, 61, 56}));
+    ::testing::Values(ToomCase{3, 0, 9, 8}, ToomCase{3, 0x5625, 12, 12},
+                      ToomCase{3, 0, 17, 13}, ToomCase{3, 0, 30, 25},
+                      ToomCase{3, 0x5625, 31, 23},
+                      ToomCase{4, 0xFFFFFFFF, 16, 16},
+                      ToomCase{4, 0, 20, 17},
+                      ToomCase{4, 0x6B95AA59, 35, 28},
+                      ToomCase{4, 0, 40, 40},
+                      ToomCase{6, 0x6B95AA59, 36, 36},
+                      ToomCase{6, 0, 48, 41}, ToomCase{6, 0, 60, 55},
+                      ToomCase{6, 0x5625, 61, 56}));
 
 TEST(MpnMul, ToomWithZeroBlocks)
 {
