@@ -9,7 +9,9 @@
  * Speedup tracks the host: on a single-core runner the pooled path is
  * expected near 1.0x and the JSON row is the honest record of that.
  * A division row hard-asserts that a 2n/n divrem at n = 9622 costs at
- * most 1.5x one at n = 9600 (Burnikel–Ziegler's odd-size cliff).
+ * most 1.5x one at n = 9600 (Burnikel–Ziegler's odd-size cliff), and
+ * with the mulx tier active the 16-limb basecase and addmul_1 rows
+ * must beat scalar by 1.5x.
  *
  * The binary also measures the observability layer itself:
  *  - trace_off row: cost of a *disabled* trace::Span (the always-paid
@@ -47,6 +49,46 @@ using camp::mpn::Natural;
 using namespace camp::bench;
 namespace trace = camp::support::trace;
 namespace kernels = camp::mpn::kernels;
+
+namespace {
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+}
+
+/** Medians of 9 serial, alternating-order timing pairs. */
+struct Paired
+{
+    double test_s; ///< median time of one test call
+    double ratio;  ///< median per-pair test / base time
+};
+
+Paired
+time_paired(const std::function<void()>& base,
+            const std::function<void()>& test, const TimingOptions& opts)
+{
+    camp::support::SerialGuard serial;
+    constexpr int kTrials = 9;
+    std::vector<double> test_s, ratios;
+    for (int t = 0; t < kTrials; ++t) {
+        double base_t, test_t;
+        if (t % 2 == 0) {
+            base_t = time_call(base, opts);
+            test_t = time_call(test, opts);
+        } else {
+            test_t = time_call(test, opts);
+            base_t = time_call(base, opts);
+        }
+        test_s.push_back(test_t);
+        ratios.push_back(test_t / base_t);
+    }
+    return {median(test_s), median(ratios)};
+}
+
+} // namespace
 
 int
 main()
@@ -117,10 +159,8 @@ main()
     section("simd limb kernels, scalar vs dispatched");
     {
         // Microbench of the dispatched primitives against the scalar
-        // reference on the same buffers. The gated win lives here:
-        // add_n/sub_n are the carry-select movemask kernels (the
-        // multiply-family slots deliberately stay scalar on hosts
-        // where pmuludq loses to mulx — see DESIGN.md).
+        // reference on the same buffers: add_n/sub_n are the AVX2
+        // carry-select kernels, the multiply rows the mulx chains.
         const kernels::KernelTable& scal = kernels::scalar_table();
         const kernels::KernelTable& act = kernels::active();
         const std::size_t n = 4096;
@@ -154,8 +194,8 @@ main()
         json.add("kernel_sub_n", n * 64, 1, sub_act_s, bytes,
                  {{"speedup", sub_speedup}});
 
-        // Schoolbook basecase at 64x64 limbs: above the AVX2 kernel's
-        // internal crossover, so the reduced-radix column path runs.
+        // Schoolbook basecase at 64x64 limbs (the mulx rows; the AVX2
+        // tier runs the scalar basecase, so it reads ~1.0x there).
         const std::size_t bn = 64;
         std::vector<std::uint64_t> prod(2 * bn);
         const double bc_scal_s = time_call(
@@ -173,6 +213,40 @@ main()
         const double bc_speedup = bc_scal_s / bc_act_s;
         json.add("kernel_basecase_64", bn * 64, 1, bc_act_s,
                  2.0 * bn * 8.0, {{"speedup", bc_speedup}});
+
+        // 16 limbs is where Karatsuba/Toom leaves and Knuth base cases
+        // land. Each row is 9 alternating pairs against scalar; with
+        // the mulx tier active the median speedup must reach 1.5x.
+        // A timed call runs the kernel kReps times: one call is ~10 ns,
+        // less than the clock read time_call makes per call.
+        constexpr int kReps = 64;
+        TimingOptions popts = kopts;
+        popts.min_seconds = 0.01;
+        const std::size_t m = 16;
+        const auto basecase = [&](const kernels::KernelTable& t) {
+            return [&] {
+                for (int r = 0; r < kReps; ++r)
+                    t.mul_basecase(prod.data(), ap.data(), m, bp.data(),
+                                   m);
+            };
+        };
+        const auto addmul = [&](const kernels::KernelTable& t) {
+            return [&] {
+                for (int r = 0; r < kReps; ++r)
+                    t.addmul_1(rp.data(), ap.data(), m, bp[r]);
+            };
+        };
+        const Paired bc16 =
+            time_paired(basecase(scal), basecase(act), popts);
+        const Paired am16 = time_paired(addmul(scal), addmul(act), popts);
+        json.add("kernel_basecase_16", m * 64, 1, bc16.test_s / kReps,
+                 2.0 * m * 8.0, {{"speedup", 1.0 / bc16.ratio}});
+        json.add("kernel_addmul_1_16", m * 64, 1, am16.test_s / kReps,
+                 2.0 * m * 8.0, {{"speedup", 1.0 / am16.ratio}});
+        if (tier == kernels::Tier::Mulx) {
+            CAMP_ASSERT(1.0 / bc16.ratio >= 1.5);
+            CAMP_ASSERT(1.0 / am16.ratio >= 1.5);
+        }
 
         best_simd_speedup = std::max(
             {best_simd_speedup, add_speedup, sub_speedup, bc_speedup});
@@ -330,31 +404,13 @@ main()
         const TimingOptions once{
             .warmup = 0, .max_runs = 1, .min_seconds = 0};
         even(); // warm the allocator and the pool
-        // Serial, 9 pairs, the order alternating: both sizes block to
-        // 9728 limbs, and 15 such runs on a loaded 4-vCPU host gave
-        // median ratios of 0.77-1.06 (pooled, up to 1.40).
-        camp::support::SerialGuard serial;
-        constexpr int kTrials = 9;
-        std::vector<double> cliff_s, ratios;
-        for (int t = 0; t < kTrials; ++t) {
-            double even_t, cliff_t;
-            if (t % 2 == 0) {
-                even_t = time_call(even, once);
-                cliff_t = time_call(cliff, once);
-            } else {
-                cliff_t = time_call(cliff, once);
-                even_t = time_call(even, once);
-            }
-            cliff_s.push_back(cliff_t);
-            ratios.push_back(cliff_t / even_t);
-        }
-        const auto median = [](std::vector<double> v) {
-            std::sort(v.begin(), v.end());
-            return v[v.size() / 2];
-        };
-        const double ratio = median(ratios);
+        // Both sizes block to 9728 limbs; 15 such runs on a loaded
+        // 4-vCPU host gave median ratios of 0.77-1.06 (pooled, up to
+        // 1.40).
+        const Paired div = time_paired(even, cliff, once);
+        const double ratio = div.ratio;
         const double bytes = 3.0 * 9622 * 8.0;
-        json.add("div_2n1n_9622", 9622 * 64, 1, median(cliff_s), bytes,
+        json.add("div_2n1n_9622", 9622 * 64, 1, div.test_s, bytes,
                  {{"ratio_vs_9600", ratio}});
         CAMP_ASSERT(ratio <= 1.5);
     }

@@ -6,10 +6,11 @@
 #     default covers both execution backends, then at
 #     CAMP_BACKEND=sharded with CAMP_SHARDS=1 and =4 so the whole
 #     suite also runs through the multi-device scheduler's
-#     single-shard and fanned-out paths, then at CAMP_SIMD=scalar and
-#     CAMP_SIMD=avx2 (skipped with a notice when the host lacks AVX2)
-#     so every tier of the dispatched limb kernels runs the full suite
-#     and results stay bit-identical across tiers, and at
+#     single-shard and fanned-out paths, then at CAMP_SIMD=scalar,
+#     CAMP_SIMD=avx2 and CAMP_SIMD=mulx (each skipped with a notice when
+#     the host lacks the ISA) so every tier of the dispatched limb
+#     kernels runs the full suite and results stay bit-identical across
+#     tiers, and at
 #     CAMP_OPCACHE=0 and =1 so the operand-digest inverse cache's
 #     hit path provably never changes a result;
 #  2. perf-regression gate: perf_smoke and batch_throughput vs
@@ -76,12 +77,13 @@ CAMP_BACKEND=sharded CAMP_SHARDS=1 \
 echo "==== ctest build (CAMP_BACKEND=sharded, CAMP_SHARDS=4) ===="
 CAMP_BACKEND=sharded CAMP_SHARDS=4 \
     ctest --test-dir build --output-on-failure -j "${JOBS}"
-# SIMD-dispatch matrix: the whole tier-1 suite pinned to the scalar
-# reference kernels, then to the AVX2 tier, so the cross-tier
-# bit-identity invariant is exercised suite-wide (not only by
-# test_simd_kernels' differential fuzz). The avx2 leg is skipped with
-# a notice on hosts without the ISA — CAMP_SIMD=avx2 would fall back
-# to scalar there and silently duplicate the previous leg.
+# Kernel-tier matrix: the whole tier-1 suite pinned to the scalar
+# reference kernels, then to the AVX2 tier, then to the mulx tier, so
+# the cross-tier bit-identity invariant is exercised suite-wide (not
+# only by test_simd_kernels' differential fuzz). The avx2 and mulx
+# legs are skipped with a notice on hosts without the ISA — the pinned
+# value would fall back to scalar there and silently duplicate the
+# scalar leg.
 # Operand-cache matrix: the whole tier-1 suite with the inverse cache
 # disabled (every derivation cold) and force-enabled — results must be
 # bit-identical either way, the DESIGN.md §16 invariance contract that
@@ -98,6 +100,16 @@ if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
         -j "${JOBS}"
 else
     echo "==== ctest build (CAMP_SIMD=avx2) SKIPPED: host lacks AVX2 ===="
+fi
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null &&
+    grep -qw bmi2 /proc/cpuinfo 2>/dev/null &&
+    grep -qw adx /proc/cpuinfo 2>/dev/null; then
+    echo "==== ctest build (CAMP_SIMD=mulx) ===="
+    CAMP_SIMD=mulx ctest --test-dir build --output-on-failure \
+        -j "${JOBS}"
+else
+    echo "==== ctest build (CAMP_SIMD=mulx) SKIPPED: host lacks" \
+        "AVX2/BMI2/ADX ===="
 fi
 
 if [[ "${CAMP_CI_SKIP_PERF:-0}" != "1" ]]; then

@@ -214,8 +214,9 @@ SubmitQueue::run_flush(Ticket ticket)
             slot->ready = true;
         }
         stats.failed += slots.size();
-        support::metrics::counter("exec.queue.failed")
-            .add(slots.size());
+        static support::metrics::Counter& failed =
+            support::metrics::counter("exec.queue.failed");
+        failed.add(slots.size());
     } else {
         CAMP_ASSERT(result.per_product.size() == slots.size());
         for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -232,14 +233,18 @@ SubmitQueue::run_flush(Ticket ticket)
         stats.sim_tasks += result.tasks;
         stats.injected += result.injected;
         stats.faulty += result.faulty;
-        namespace metrics = support::metrics;
-        metrics::counter("exec.queue.coalesced").add(slots.size());
-        metrics::gauge("exec.queue.batch_max")
-            .update_max(static_cast<std::int64_t>(slots.size()));
+        static support::metrics::Counter& coalesced =
+            support::metrics::counter("exec.queue.coalesced");
+        static support::metrics::Gauge& batch_max =
+            support::metrics::gauge("exec.queue.batch_max");
+        coalesced.add(slots.size());
+        batch_max.update_max(static_cast<std::int64_t>(slots.size()));
     }
     const std::size_t count = slots.size();
     ++stats.flushes;
-    support::metrics::counter("exec.queue.flushes").add();
+    static support::metrics::Counter& flushes =
+        support::metrics::counter("exec.queue.flushes");
+    flushes.add();
     wave.reset();
     slots.clear();
     state_->free_buffers.push_back(ticket.buffer_);

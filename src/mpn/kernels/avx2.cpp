@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX2 tier: 4x64-bit lanes. Three kernel families:
+ * AVX2 tier: 4x64-bit lanes. Two kernel families:
  *
  *  - add_n / sub_n: lanewise add plus the movemask carry-select
  *    trick — generate/propagate bits are extracted to a 4-bit mask,
@@ -9,22 +9,19 @@
  *    re-injected from a 16-entry vector table. This replaces the
  *    per-limb flag chain with one short scalar op per 4 limbs.
  *
- *  - mul_1 / addmul_1 / submul_1: two-pass split-radix scheme. Pass 1
- *    assembles the 128-bit products a[i]*b lanewise from four
- *    32x32->64 vpmuludq partials into lo/hi scratch arrays (no carry
- *    chain at all); pass 2 is a single scalar fold of
- *    rp[i] (+/-)= lo[i] + hi[i-1] with the usual ripple.
+ *  - soa_vertical: the reduced-radix carry-save batch kernel.
+ *    Operands are expanded to radix-2^32 digits; every 32x32 partial
+ *    product is accumulated into a *pair* of 64-bit per-column sums
+ *    (low and high halves separately), so columns never carry during
+ *    accumulation — each term is < 2^32, leaving 32 bits of
+ *    carry-save headroom per column. One register holds one column of
+ *    4 *independent products* (vertical batch form); kernels::
+ *    soa_mul_batch resolves the columns back to 64-bit limbs.
  *
- *  - mul_basecase / soa_vertical: the reduced-radix carry-save
- *    kernels. Operands are expanded to radix-2^32 digits; every
- *    32x32 partial product is accumulated into a *pair* of 64-bit
- *    per-column sums (low and high halves separately), so columns
- *    never carry during accumulation — each term is < 2^32, leaving
- *    32 bits of carry-save headroom per column. mul_basecase keeps
- *    the accumulators of 4 adjacent columns in registers (diagonal
- *    walk over the product trapezoid); soa_vertical keeps one column
- *    of 4 *independent products* per register (vertical batch form).
- *    One O(n) resolution pass converts columns back to 64-bit limbs.
+ * The multiply slots (mul_1 / addmul_1 / submul_1 / mul_basecase) are
+ * the scalar loops: a vpmuludq product needs four 32x32 partials plus
+ * their recombination per limb, and lost to the scalar chain below
+ * ~48 limbs; the mulx tier (mulx.cpp) is the fast multiply path.
  *
  * Everything here is exact integer arithmetic: results are
  * bit-identical to the scalar tier by construction, and
@@ -38,26 +35,12 @@
 
 #include <algorithm>
 
-#include "support/assert.hpp"
-#include "support/bits.hpp"
-#include "support/thread_pool.hpp"
-
 namespace camp::mpn::kernels {
 
 namespace {
 
 /** Below this many limbs the vector setup costs more than it saves. */
 constexpr std::size_t kVecMinLimbs = 8;
-
-/**
- * Smaller-operand floor for the column-accumulated basecase. Below
- * this the scalar mulx/adc chain wins (measured crossover ~48 limbs
- * on Skylake-class cores: pmuludq needs 4 32x32 partials plus 4 ALU
- * support ops per limb product, scalar needs one mulx + two adds);
- * the Karatsuba threshold keeps mpn_mul's own basecases below it, so
- * this path serves direct large-basecase callers only.
- */
-constexpr std::size_t kBasecaseMinLimbs = 48;
 
 /** kCarry4[m][lane] = bit `lane` of m, as an addable 64-bit value. */
 alignas(32) constexpr std::uint64_t kCarry4[16][4] = {
@@ -95,44 +78,6 @@ lane_mask(__m256i v)
 {
     return static_cast<unsigned>(
         _mm256_movemask_pd(_mm256_castsi256_pd(v)));
-}
-
-/**
- * Pass 1 of the split-radix multiply: lo[i]/hi[i] = the 128-bit
- * product ap[i] * b, for i in [0, n4) with n4 a multiple of 4.
- */
-inline void
-mul_lohi(const Limb* ap, std::size_t n4, Limb b, Limb* lo, Limb* hi)
-{
-    const __m256i m32 = _mm256_set1_epi64x(0xffffffffLL);
-    const __m256i vb0 =
-        _mm256_set1_epi64x(static_cast<long long>(b & 0xffffffffULL));
-    const __m256i vb1 =
-        _mm256_set1_epi64x(static_cast<long long>(b >> 32));
-    for (std::size_t i = 0; i < n4; i += 4) {
-        const __m256i va = loadu(ap + i);
-        const __m256i alo = _mm256_and_si256(va, m32);
-        const __m256i ahi = _mm256_srli_epi64(va, 32);
-        const __m256i ll = _mm256_mul_epu32(alo, vb0);
-        const __m256i lh = _mm256_mul_epu32(alo, vb1);
-        const __m256i hl = _mm256_mul_epu32(ahi, vb0);
-        const __m256i hh = _mm256_mul_epu32(ahi, vb1);
-        // product = ll + 2^32*(lh + hl) + 2^64*hh; lh + hl may carry
-        // into bit 64 (worth 2^96), and folding the mid word into ll
-        // may carry into bit 64 too.
-        const __m256i mid = _mm256_add_epi64(lh, hl);
-        const __m256i midc =
-            _mm256_slli_epi64(_mm256_srli_epi64(lt_u64(mid, lh), 63),
-                              32);
-        const __m256i vlo =
-            _mm256_add_epi64(ll, _mm256_slli_epi64(mid, 32));
-        const __m256i c2 = lt_u64(vlo, ll); // all-ones == -1
-        __m256i vhi = _mm256_add_epi64(hh, _mm256_srli_epi64(mid, 32));
-        vhi = _mm256_add_epi64(vhi, midc);
-        vhi = _mm256_sub_epi64(vhi, c2);
-        storeu(lo + i, vlo);
-        storeu(hi + i, vhi);
-    }
 }
 
 } // namespace
@@ -203,176 +148,6 @@ avx2_sub_n(Limb* rp, const Limb* ap, const Limb* bp, std::size_t n)
         rp[i] = r;
     }
     return borrow;
-}
-
-Limb
-avx2_mul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b)
-{
-    if (n < kVecMinLimbs)
-        return scalar_mul_1(rp, ap, n, b);
-    const std::size_t n4 = n & ~std::size_t{3};
-    support::ScratchFrame frame;
-    Limb* lo = frame.alloc(2 * n4);
-    Limb* hi = lo + n4;
-    mul_lohi(ap, n4, b, lo, hi);
-    Limb carry = 0;
-    Limb hprev = 0;
-    for (std::size_t i = 0; i < n4; ++i) {
-        const u128 t = static_cast<u128>(lo[i]) + hprev + carry;
-        rp[i] = static_cast<Limb>(t);
-        carry = static_cast<Limb>(t >> 64);
-        hprev = hi[i];
-    }
-    carry += hprev;
-    for (std::size_t i = n4; i < n; ++i) {
-        const u128 p = static_cast<u128>(ap[i]) * b + carry;
-        rp[i] = static_cast<Limb>(p);
-        carry = static_cast<Limb>(p >> 64);
-    }
-    return carry;
-}
-
-Limb
-avx2_addmul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b)
-{
-    if (n < kVecMinLimbs)
-        return scalar_addmul_1(rp, ap, n, b);
-    const std::size_t n4 = n & ~std::size_t{3};
-    support::ScratchFrame frame;
-    Limb* lo = frame.alloc(2 * n4);
-    Limb* hi = lo + n4;
-    mul_lohi(ap, n4, b, lo, hi);
-    Limb carry = 0;
-    Limb hprev = 0;
-    for (std::size_t i = 0; i < n4; ++i) {
-        const u128 t =
-            static_cast<u128>(rp[i]) + lo[i] + hprev + carry;
-        rp[i] = static_cast<Limb>(t);
-        carry = static_cast<Limb>(t >> 64);
-        hprev = hi[i];
-    }
-    carry += hprev;
-    for (std::size_t i = n4; i < n; ++i) {
-        const u128 p = static_cast<u128>(ap[i]) * b + rp[i] + carry;
-        rp[i] = static_cast<Limb>(p);
-        carry = static_cast<Limb>(p >> 64);
-    }
-    return carry;
-}
-
-Limb
-avx2_submul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b)
-{
-    if (n < kVecMinLimbs)
-        return scalar_submul_1(rp, ap, n, b);
-    const std::size_t n4 = n & ~std::size_t{3};
-    support::ScratchFrame frame;
-    Limb* lo = frame.alloc(2 * n4);
-    Limb* hi = lo + n4;
-    mul_lohi(ap, n4, b, lo, hi);
-    // Fold the product digit stream (m = lo[i] + hi[i-1] with its own
-    // ripple) and the subtraction borrow chain in one pass; the final
-    // borrow hi[n4-1] + c + borrow is exact (bounded by B - 1).
-    Limb c = 0;
-    Limb hprev = 0;
-    Limb borrow = 0;
-    for (std::size_t i = 0; i < n4; ++i) {
-        const u128 t = static_cast<u128>(lo[i]) + hprev + c;
-        const Limb m = static_cast<Limb>(t);
-        c = static_cast<Limb>(t >> 64);
-        hprev = hi[i];
-        const Limb r = rp[i];
-        const Limb d = r - m;
-        const Limb b1 = r < m;
-        rp[i] = d - borrow;
-        borrow = b1 | (d < borrow);
-    }
-    borrow += hprev + c;
-    for (std::size_t i = n4; i < n; ++i) {
-        const u128 p = static_cast<u128>(ap[i]) * b + borrow;
-        const Limb lo_limb = static_cast<Limb>(p);
-        borrow =
-            static_cast<Limb>(p >> 64) + (rp[i] < lo_limb);
-        rp[i] -= lo_limb;
-    }
-    return borrow;
-}
-
-void
-avx2_mul_basecase(Limb* rp, const Limb* ap, std::size_t an,
-                  const Limb* bp, std::size_t bn)
-{
-    CAMP_ASSERT(an >= bn && bn >= 1);
-    if (bn < kBasecaseMinLimbs) {
-        scalar_mul_basecase(rp, ap, an, bp, bn);
-        return;
-    }
-    support::ScratchFrame frame;
-    const std::size_t nda = 2 * an;
-    const std::size_t ndb = 2 * bn;
-    const std::size_t ncols = nda + ndb;
-
-    // Radix-2^32 digits of a, padded with 4 zero digits on both ends
-    // so the diagonal loads below never read out of range.
-    std::uint64_t* da_store = frame.alloc(nda + 8);
-    std::uint64_t* da = da_store + 4;
-    for (int t = 0; t < 4; ++t) {
-        da[-1 - t] = 0;
-        da[nda + t] = 0;
-    }
-    for (std::size_t m = 0; m < an; ++m) {
-        da[2 * m] = ap[m] & 0xffffffffULL;
-        da[2 * m + 1] = ap[m] >> 32;
-    }
-    std::uint64_t* db = frame.alloc(ndb);
-    for (std::size_t m = 0; m < bn; ++m) {
-        db[2 * m] = bp[m] & 0xffffffffULL;
-        db[2 * m + 1] = bp[m] >> 32;
-    }
-
-    const __m256i m32 = _mm256_set1_epi64x(0xffffffffLL);
-    std::uint64_t carry = 0;
-    std::uint64_t hi_prev = 0; // accHi of the previous column
-    alignas(32) std::uint64_t col_lo[4];
-    alignas(32) std::uint64_t col_hi[4];
-    for (std::size_t k = 0; k < ncols; k += 4) {
-        // Columns k..k+3 accumulate products da[c - j] * db[j]; the
-        // union of in-range j over the 4 lanes is [jmin, jmax], and
-        // the zero padding of da absorbs the per-lane edges.
-        const std::size_t jmin = k + 1 > nda ? k + 1 - nda : 0;
-        const std::size_t jmax = std::min(ndb - 1, k + 3);
-        __m256i vlo = _mm256_setzero_si256();
-        __m256i vhi = _mm256_setzero_si256();
-        for (std::size_t j = jmin; j <= jmax; ++j) {
-            const __m256i vb = _mm256_set1_epi64x(
-                static_cast<long long>(db[j]));
-            const __m256i vda = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(
-                    da + static_cast<std::ptrdiff_t>(k) -
-                    static_cast<std::ptrdiff_t>(j)));
-            const __m256i p = _mm256_mul_epu32(vda, vb);
-            vlo = _mm256_add_epi64(vlo, _mm256_and_si256(p, m32));
-            vhi = _mm256_add_epi64(vhi, _mm256_srli_epi64(p, 32));
-        }
-        _mm256_store_si256(reinterpret_cast<__m256i*>(col_lo), vlo);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(col_hi), vhi);
-        // Resolve the block's columns (ncols is even but not
-        // necessarily a multiple of 4 — never write past rp):
-        // column c = col_lo[c] + accHi[c-1] plus the running
-        // radix-2^32 ripple carry.
-        for (int t = 0; t < 4 && k + t < ncols; ++t) {
-            const std::size_t c = k + t;
-            const std::uint64_t v = col_lo[t] + hi_prev + carry;
-            hi_prev = col_hi[t];
-            carry = v >> 32;
-            const std::uint64_t dig = v & 0xffffffffULL;
-            if ((c & 1) == 0)
-                rp[c / 2] = dig;
-            else
-                rp[c / 2] |= dig << 32;
-        }
-    }
-    CAMP_ASSERT(carry == 0 && hi_prev == 0);
 }
 
 void
@@ -471,18 +246,14 @@ avx2_table()
         KernelTable t;
         t.tier = Tier::Avx2;
         t.name = "avx2";
-        // Vectorize where it wins (measured on Skylake-class cores):
-        // add_n/sub_n ~2.5x and the SoA vertical kernel 1.2-1.5x are
-        // clear wins; the two-pass split-radix mul_1/addmul_1/submul_1
-        // lose to the scalar mulx chain (0.4-0.6x) so those slots stay
-        // scalar, and the column basecase only takes over above its
-        // internal ~48-limb crossover (scalar below).
+        // Vectorize where it wins: add_n/sub_n ~2.5x and the SoA
+        // vertical kernel 1.2-1.5x; the multiply slots stay scalar.
         t.mul_1 = scalar_mul_1;
         t.addmul_1 = scalar_addmul_1;
         t.submul_1 = scalar_submul_1;
         t.add_n = avx2_add_n;
         t.sub_n = avx2_sub_n;
-        t.mul_basecase = avx2_mul_basecase;
+        t.mul_basecase = scalar_mul_basecase;
         t.soa_width = 4;
         t.soa_vertical = avx2_soa_vertical;
         return t;

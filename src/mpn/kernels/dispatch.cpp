@@ -2,11 +2,11 @@
  * @file
  * Kernel tier selection: cpuid probe + CAMP_SIMD override, resolved
  * once on first use into an atomic table pointer. The probe order is
- * widest-first (avx2 > sse4 > scalar); an explicit CAMP_SIMD request
+ * best-first (mulx > avx2 > scalar); an explicit CAMP_SIMD request
  * for a tier the host cannot run logs a notice to stderr and falls
  * back to scalar rather than silently running a different tier.
  * The selected tier is exported as the "mpn.simd.tier" gauge
- * (0 = scalar, 1 = sse4, 2 = avx2) so traces and bench output can
+ * (0 = scalar, 2 = avx2, 3 = mulx) so traces and bench output can
  * attribute numbers to the code actually executed.
  */
 #include "mpn/kernels/internal.hpp"
@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 
 #include "support/metrics.hpp"
 
@@ -29,10 +30,12 @@ cpu_has(Tier tier)
     switch (tier) {
     case Tier::Scalar:
         return true;
-    case Tier::Sse4:
-        return __builtin_cpu_supports("sse4.2");
     case Tier::Avx2:
         return __builtin_cpu_supports("avx2");
+    case Tier::Mulx:
+        return __builtin_cpu_supports("avx2") &&
+               __builtin_cpu_supports("bmi2") &&
+               __builtin_cpu_supports("adx");
     }
     return false;
 #else
@@ -53,35 +56,27 @@ probe()
 {
     const char* env = std::getenv("CAMP_SIMD");
     if (env && *env && std::strcmp(env, "auto") != 0) {
-        const KernelTable* requested = nullptr;
-        if (std::strcmp(env, "avx2") == 0)
-            requested = host_supports(Tier::Avx2) ? avx2_table()
-                                                  : nullptr;
-        else if (std::strcmp(env, "sse4") == 0)
-            requested = host_supports(Tier::Sse4) ? sse4_table()
-                                                  : nullptr;
-        else if (std::strcmp(env, "scalar") == 0)
-            requested = &scalar_table();
-        else
-            std::fprintf(stderr,
-                         "camp: unknown CAMP_SIMD=\"%s\" "
-                         "(want auto|avx2|sse4|scalar); "
-                         "using scalar kernels\n",
-                         env);
-        if (!requested && (std::strcmp(env, "avx2") == 0 ||
-                           std::strcmp(env, "sse4") == 0))
+        for (const Tier tier : {Tier::Mulx, Tier::Avx2, Tier::Scalar}) {
+            if (std::strcmp(env, tier_name(tier)) != 0)
+                continue;
+            if (const KernelTable* t = table_for(tier))
+                return t;
             std::fprintf(stderr,
                          "camp: CAMP_SIMD=%s requested but host lacks "
                          "the ISA; falling back to scalar kernels\n",
                          env);
-        return requested ? requested : &scalar_table();
+            return &scalar_table();
+        }
+        std::fprintf(stderr,
+                     "camp: unknown CAMP_SIMD=\"%s\" "
+                     "(want auto|mulx|avx2|scalar); "
+                     "using scalar kernels\n",
+                     env);
+        return &scalar_table();
     }
-    if (const KernelTable* t =
-            host_supports(Tier::Avx2) ? avx2_table() : nullptr)
-        return t;
-    if (const KernelTable* t =
-            host_supports(Tier::Sse4) ? sse4_table() : nullptr)
-        return t;
+    for (const Tier tier : {Tier::Mulx, Tier::Avx2})
+        if (const KernelTable* t = table_for(tier))
+            return t;
     return &scalar_table();
 }
 
@@ -100,10 +95,10 @@ tier_name(Tier tier)
     switch (tier) {
     case Tier::Scalar:
         return "scalar";
-    case Tier::Sse4:
-        return "sse4";
     case Tier::Avx2:
         return "avx2";
+    case Tier::Mulx:
+        return "mulx";
     }
     return "unknown";
 }
@@ -120,10 +115,10 @@ table_for(Tier tier)
     switch (tier) {
     case Tier::Scalar:
         return &scalar_table();
-    case Tier::Sse4:
-        return host_supports(Tier::Sse4) ? sse4_table() : nullptr;
     case Tier::Avx2:
         return host_supports(Tier::Avx2) ? avx2_table() : nullptr;
+    case Tier::Mulx:
+        return host_supports(Tier::Mulx) ? mulx_table() : nullptr;
     }
     return nullptr;
 }

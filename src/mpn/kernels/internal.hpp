@@ -10,8 +10,8 @@
 
 #include "mpn/kernels/kernels.hpp"
 
-// The SIMD translation units are compiled with per-file target flags
-// (-msse4.2 / -mavx2) on x86-64 only; everywhere else they compile to
+// The tier translation units are compiled with per-file target flags
+// (-mavx2 / -mbmi2 -madx) on x86-64 only; everywhere else they compile to
 // empty tables and dispatch stays scalar.
 #if defined(__x86_64__) || defined(_M_X64)
 #define CAMP_KERNELS_X86 1
@@ -32,31 +32,19 @@ void scalar_mul_basecase(Limb* rp, const Limb* ap, std::size_t an,
                          const Limb* bp, std::size_t bn);
 
 #if CAMP_KERNELS_X86
-Limb sse4_add_n(Limb* rp, const Limb* ap, const Limb* bp,
-                std::size_t n);
-Limb sse4_sub_n(Limb* rp, const Limb* ap, const Limb* bp,
-                std::size_t n);
-Limb sse4_mul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b);
-Limb sse4_addmul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b);
-Limb sse4_submul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b);
-void sse4_mul_basecase(Limb* rp, const Limb* ap, std::size_t an,
-                       const Limb* bp, std::size_t bn);
-void sse4_soa_vertical(std::uint64_t* acc_lo, std::uint64_t* acc_hi,
-                       const std::uint64_t* da, std::size_t nda,
-                       const std::uint64_t* db, std::size_t ndb);
-
 Limb avx2_add_n(Limb* rp, const Limb* ap, const Limb* bp,
                 std::size_t n);
 Limb avx2_sub_n(Limb* rp, const Limb* ap, const Limb* bp,
                 std::size_t n);
-Limb avx2_mul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b);
-Limb avx2_addmul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b);
-Limb avx2_submul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b);
-void avx2_mul_basecase(Limb* rp, const Limb* ap, std::size_t an,
-                       const Limb* bp, std::size_t bn);
 void avx2_soa_vertical(std::uint64_t* acc_lo, std::uint64_t* acc_hi,
                        const std::uint64_t* da, std::size_t nda,
                        const std::uint64_t* db, std::size_t ndb);
+
+Limb mulx_mul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b);
+Limb mulx_addmul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b);
+Limb mulx_submul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b);
+void mulx_mul_basecase(Limb* rp, const Limb* ap, std::size_t an,
+                       const Limb* bp, std::size_t bn);
 #endif
 
 } // namespace camp::mpn::kernels

@@ -1,6 +1,6 @@
 /**
  * @file
- * Runtime-dispatched SIMD limb kernels (ROADMAP item 2): the inner
+ * Runtime-dispatched limb kernels (ROADMAP item 4): the inner
  * primitives of the mpn layer — mul_1 / addmul_1 / submul_1 / add_n /
  * sub_n and the schoolbook basecase — behind a cpuid-probed dispatch
  * table with the scalar code as mandatory fallback.
@@ -8,24 +8,20 @@
  * Tiers
  *  - scalar: the portable reference loops (always present, always the
  *    correctness oracle for the differential tests);
- *  - sse4:   128-bit SSE4.2 kernels (2 lanes of 64);
- *  - avx2:   256-bit AVX2 kernels (4 lanes of 64).
+ *  - avx2:   256-bit carry-select add_n/sub_n and the SoA batch
+ *            kernel; the multiply slots stay scalar;
+ *  - mulx:   the avx2 set plus mulx/adcx/adox multiply chains for
+ *            mul_1/addmul_1/submul_1 and the basecase (needs AVX2,
+ *            BMI2 and ADX).
  *
  * Selection: the first call to active() probes the host CPU and picks
- * the widest supported tier; `CAMP_SIMD={auto,avx2,sse4,scalar}`
+ * the best supported tier; `CAMP_SIMD={auto,mulx,avx2,scalar}`
  * overrides (an unsupported explicit request logs a notice to stderr
  * and falls back to scalar, so a pinned CI leg never silently runs a
  * different tier than it printed).
  *
- * Representation: the SIMD multiply kernels internally use a
- * reduced-radix carry-save form — the operands are expanded into
- * radix-2^32 digit columns and partial products are accumulated in
- * *pairs* of 64-bit per-column accumulators (low and high halves of
- * each 32x32 product), so no carry propagates during accumulation;
- * one O(n) resolution pass at the kernel boundary converts back to
- * 64-bit limbs. The Limb API is unchanged and every tier returns
- * bit-identical results (a hard invariant, fuzzed by
- * tests/test_simd_kernels.cpp).
+ * The Limb API is unchanged and every tier returns bit-identical
+ * results (a hard invariant, fuzzed by tests/test_simd_kernels.cpp).
  */
 #ifndef CAMP_MPN_KERNELS_KERNELS_HPP
 #define CAMP_MPN_KERNELS_KERNELS_HPP
@@ -36,15 +32,16 @@
 
 namespace camp::mpn::kernels {
 
-/** SIMD capability tiers, ordered by preference. */
+/** Kernel tiers, ordered by preference. The values are the
+ * "mpn.simd.tier" gauge (1 was the retired SSE4 tier). */
 enum class Tier : int
 {
     Scalar = 0,
-    Sse4 = 1,
     Avx2 = 2,
+    Mulx = 3,
 };
 
-/** "scalar", "sse4", "avx2". */
+/** "scalar", "avx2", "mulx". */
 const char* tier_name(Tier tier);
 
 /**
@@ -90,8 +87,8 @@ struct KernelTable
 const KernelTable& scalar_table();
 
 /** Tier tables; nullptr when the build lacks the ISA (non-x86). */
-const KernelTable* sse4_table();
 const KernelTable* avx2_table();
+const KernelTable* mulx_table();
 
 /** True when the running host can execute @p tier. */
 bool host_supports(Tier tier);

@@ -21,6 +21,14 @@ namespace camp::mpn::kernels {
 
 namespace {
 
+support::metrics::Counter&
+soa_products()
+{
+    static support::metrics::Counter& products =
+        support::metrics::counter("mpn.soa.products");
+    return products;
+}
+
 /**
  * Multiply one full group of W same-shape products via the vertical
  * kernel, writing the full (an + bn)-limb product of lane l into
@@ -112,7 +120,9 @@ soa_group(const KernelTable& table, const std::size_t* idx,
         limbs[lane].resize(an + bn);
         rps[lane] = limbs[lane].data();
     }
-    support::metrics::counter("mpn.alloc.count").add(w);
+    static support::metrics::Counter& allocs =
+        support::metrics::counter("mpn.alloc.count");
+    allocs.add(w);
     soa_group_core(table, an, bn, aps, bps, rps);
     for (std::size_t lane = 0; lane < w; ++lane)
         out[idx[lane]] = Natural::from_limbs(std::move(limbs[lane]));
@@ -174,7 +184,7 @@ soa_mul_batch(const std::pair<Natural, Natural>* pairs,
         }
     }
     if (via_soa)
-        support::metrics::counter("mpn.soa.products").add(via_soa);
+        soa_products().add(via_soa);
     return via_soa;
 }
 
@@ -266,7 +276,7 @@ soa_mul_batch_raw(SoaItem* items, std::size_t count)
         }
     }
     if (via_soa)
-        support::metrics::counter("mpn.soa.products").add(via_soa);
+        soa_products().add(via_soa);
     return via_soa;
 }
 

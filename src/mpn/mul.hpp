@@ -58,12 +58,15 @@ void mul_ssa(Limb* rp, const Limb* ap, std::size_t an,
 /**
  * Algorithm-selection thresholds in limbs, mirroring GMP's compile-time
  * tuned thresholds (paper §V-C: MPApca retunes these for the hardware
- * backend, which bench/fig11_mul_sweep exercises).
+ * backend, which bench/fig11_mul_sweep exercises). karatsuba and toom3
+ * are the crossovers measured over the mulx basecase (DESIGN.md §13):
+ * one Karatsuba level first beats schoolbook at 56 limbs, and Toom-3
+ * only reaches parity with Karatsuba at ~256.
  */
 struct MulTuning
 {
-    std::size_t karatsuba = 24;  ///< below: schoolbook
-    std::size_t toom3 = 96;      ///< below: Karatsuba
+    std::size_t karatsuba = 56;  ///< below: schoolbook
+    std::size_t toom3 = 256;     ///< below: Karatsuba
     std::size_t toom4 = 288;     ///< below: Toom-3
     std::size_t toom6 = 800;     ///< below: Toom-4
     std::size_t ssa = 3200;      ///< below: Toom-6, above: SSA

@@ -8,7 +8,7 @@
 namespace camp::mpn {
 
 // The inner primitives dispatch through the runtime-probed kernel
-// table (scalar / sse4 / avx2 — see mpn/kernels/kernels.hpp); the
+// table (scalar / avx2 / mulx — see mpn/kernels/kernels.hpp); the
 // scalar reference loops live in mpn/kernels/scalar.cpp.
 
 Limb

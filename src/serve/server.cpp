@@ -402,7 +402,7 @@ class Engine
         if (fallback)
             ++c.fallbacks;
 
-        {
+        if (support::trace::enabled()) {
             support::trace::Span span(settle_span_name(tenant.name),
                                       "serve");
             span.arg("status",
@@ -714,7 +714,8 @@ class Engine
                              std::max(1.0, wave_cost);
         device_free_us_ = wave.completion_us;
         ++report_.waves;
-        metrics::counter("serve.waves").add();
+        static metrics::Counter& waves = metrics::counter("serve.waves");
+        waves.add();
         inflight_.push_back(std::move(wave));
     }
 
