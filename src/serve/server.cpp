@@ -412,14 +412,31 @@ class Engine
         }
 
         notify_handle(entry.index);
+
+        // A settled request's operands are dead (a retry keeps its
+        // entry unsettled), so a session holds only the live ones.
+        Request& settled = requests_[entry.index];
+        settled.a = Natural();
+        settled.b = Natural();
     }
 
     void
     notify_handle(std::size_t index)
     {
-        const std::shared_ptr<HandleState>& handle = handles_[index];
+        std::shared_ptr<HandleState>& handle = handles_[index];
         if (handle == nullptr)
             return;
+        if (handle.use_count() == 1) {
+            // The client dropped every Handle, so nothing can read the
+            // handle's outcome: skip the deep copy, give the callback
+            // the report's outcome and free the state now.
+            const std::function<void(const Outcome&)> callback =
+                std::move(handle->callback);
+            handle.reset();
+            if (callback)
+                callback(report_.outcomes[index]);
+            return;
+        }
         std::function<void(const Outcome&)> callback;
         {
             std::lock_guard<std::mutex> lock(handle->mutex);
@@ -929,7 +946,8 @@ class Engine
     std::uint64_t cap_bits_;
 
     /** Stable request storage: entries hold pointers into this deque
-     * for the whole session (submit_async callers keep nothing). */
+     * for the whole session (submit_async callers keep nothing);
+     * settle() frees a request's operands. */
     std::deque<Request> requests_;
     std::vector<std::shared_ptr<HandleState>> handles_;
     ServeReport report_;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 namespace camp::support::trace {
@@ -16,7 +17,8 @@ struct TraceState
 {
     std::string path;         ///< CAMP_TRACE value, empty when unset
     std::size_t capacity = 0; ///< ring size in events
-    std::vector<Event> ring;
+    std::vector<Event> ring;  ///< sized by ring() on first use
+    std::once_flag ring_once;
     std::atomic<std::uint64_t> next{0};
     std::atomic<bool> enabled{false};
     std::chrono::steady_clock::time_point epoch;
@@ -24,6 +26,16 @@ struct TraceState
 };
 
 void write_at_exit();
+
+/** The event ring of @p s, allocated on first use: a process that never
+ * enables tracing does not carry it (80 bytes an event, 5 MB at the
+ * default capacity). */
+std::vector<Event>&
+ring(TraceState& s)
+{
+    std::call_once(s.ring_once, [&s] { s.ring.resize(s.capacity); });
+    return s.ring;
+}
 
 TraceState&
 state()
@@ -41,11 +53,11 @@ state()
             if (v >= 1)
                 st->capacity = static_cast<std::size_t>(v);
         }
-        st->ring.resize(st->capacity);
-        st->enabled.store(!st->path.empty(),
-                          std::memory_order_release);
-        if (!st->path.empty())
+        if (!st->path.empty()) {
+            ring(*st);
+            st->enabled.store(true, std::memory_order_release);
             std::atexit(write_at_exit);
+        }
         return st;
     }();
     return *s;
@@ -70,7 +82,10 @@ enabled()
 void
 set_enabled(bool on)
 {
-    state().enabled.store(on, std::memory_order_release);
+    TraceState& s = state();
+    if (on)
+        ring(s);
+    s.enabled.store(on, std::memory_order_release);
 }
 
 const std::string&
@@ -100,7 +115,9 @@ void
 emit(const Event& event)
 {
     TraceState& s = state();
-    if (!s.enabled.load(std::memory_order_relaxed))
+    // Acquire pairs with set_enabled's release: an enabled emitter sees
+    // the allocated ring.
+    if (!s.enabled.load(std::memory_order_acquire))
         return;
     const std::uint64_t slot =
         s.next.fetch_add(1, std::memory_order_relaxed);
@@ -124,7 +141,7 @@ reset()
 {
     TraceState& s = state();
     s.next.store(0, std::memory_order_relaxed);
-    for (Event& e : s.ring)
+    for (Event& e : ring(s))
         e = Event{};
 }
 
@@ -148,10 +165,11 @@ write_json(const std::string& path)
         total < s.capacity ? total : s.capacity;
     // Oldest retained event first (chronological within each thread).
     const std::uint64_t first = total - kept;
+    const std::vector<Event>& events = ring(s);
     std::fprintf(f, "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [");
     bool wrote_any = false;
     for (std::uint64_t i = 0; i < kept; ++i) {
-        const Event& e = s.ring[(first + i) % s.capacity];
+        const Event& e = events[(first + i) % s.capacity];
         if (e.name == nullptr)
             continue; // torn or never-written slot
         std::fprintf(f,

@@ -16,9 +16,11 @@
  * Enabled spans pay one steady_clock read at each end plus one
  * fetch_add into the ring. The ring keeps the most recent
  * `capacity()` events (default 1 << 16, override CAMP_TRACE_BUF);
- * wrap-around overwrites the oldest. Export is intended from quiescent
- * points (atexit, after joins) — in-flight writers during write_json()
- * can tear at most the events still being written.
+ * wrap-around overwrites the oldest. The ring is allocated when tracing
+ * is first enabled, so a process that never traces does not carry it.
+ * Export is intended from quiescent points (atexit, after joins) —
+ * in-flight writers during write_json() can tear at most the events
+ * still being written.
  */
 #ifndef CAMP_SUPPORT_TRACE_HPP
 #define CAMP_SUPPORT_TRACE_HPP

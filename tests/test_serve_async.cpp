@@ -376,6 +376,41 @@ TEST(ServeAsync, HandlesSettleWithCallbacksExactlyOnce)
     }
 }
 
+TEST(ServeAsync, DroppedHandleCallbacksSeeTheReportedOutcome)
+{
+    // A client that keeps no Handle: the callback is the only reader,
+    // and it must see the settled outcome, product included.
+    const std::vector<serve::Request> workload =
+        differential_workload(fuzz_seed(0xd40b));
+    exec::SimDevice device;
+    serve::Server server(differential_config(2, false), device);
+
+    std::vector<serve::Outcome> seen(workload.size());
+    std::vector<int> fired(workload.size(), 0);
+    for (std::size_t i = 0; i < workload.size(); ++i)
+        server.submit_async(workload[i])
+            .on_settle([&seen, &fired, i](const serve::Outcome& outcome) {
+                ++fired[i];
+                seen[i] = outcome;
+            });
+    const serve::ServeReport report = server.finish();
+    ASSERT_EQ(report.outcomes.size(), workload.size());
+    std::size_t completed = 0;
+    for (std::size_t i = 0; i < workload.size(); ++i) {
+        EXPECT_EQ(fired[i], 1) << "exactly-once callback " << i;
+        EXPECT_EQ(seen[i].id, i);
+        EXPECT_EQ(seen[i].status, report.outcomes[i].status) << i;
+        EXPECT_EQ(seen[i].attempts, report.outcomes[i].attempts) << i;
+        EXPECT_EQ(seen[i].latency_us, report.outcomes[i].latency_us) << i;
+        if (seen[i].status != serve::RequestStatus::Completed)
+            continue;
+        ++completed;
+        EXPECT_EQ(seen[i].product, workload[i].a * workload[i].b) << i;
+        EXPECT_EQ(report.outcomes[i].product, seen[i].product) << i;
+    }
+    EXPECT_GT(completed, 0u);
+}
+
 TEST(ServeAsync, AsyncSessionMatchesBatchProcess)
 {
     const std::vector<serve::Request> workload =
