@@ -483,7 +483,7 @@ main()
     {
         // Above the monolithic capability, so mul_functional really
         // decomposes and every base product routes through sim::Core.
-        camp::mpapca::Runtime runtime(camp::mpapca::Backend::CambriconP);
+        camp::mpapca::Runtime runtime("sim");
         const std::uint64_t cap =
             runtime.cost_model().config().monolithic_cap_bits;
         const std::uint64_t bits = 3 * cap;

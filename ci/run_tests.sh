@@ -13,7 +13,12 @@
 #     tiers, and at
 #     CAMP_OPCACHE=0 and =1 so the operand-digest inverse cache's
 #     hit path provably never changes a result;
-#  2. perf-regression gate: perf_smoke and batch_throughput vs
+#  2. end-to-end benchmark build + smoke: `perfbench/run.py` builds
+#     its own package and runs each BENCHMARK.json workload for one
+#     second; it exits nonzero on a build error or a wrong result. Its
+#     TimedDevice overrides every exec::Device batch virtual, so this
+#     is where a change to that interface shows up;
+#  3. perf-regression gate: perf_smoke and batch_throughput vs
 #     bench/baselines at a generous machine-portability tolerance, a
 #     CAMP_TRACE export smoke-checked through tools/trace_report, and a
 #     negative control (a doctored baseline MUST fail the gate; skip
@@ -23,7 +28,7 @@
 #     accounting before the perf gate even runs — plus an ungated
 #     short `serve_soak --wall` leg (overlapping in-flight waves on
 #     real threads; hard correctness asserts, no latency gates);
-#  3. address+undefined-sanitizer build + ctest — this includes
+#  4. address+undefined-sanitizer build + ctest — this includes
 #     test_simd_kernels, so the vector kernels' scratch/tail handling
 #     runs under ASan/UBSan every CI pass — followed by a dedicated
 #     memory-plane leg (test_memory_plane, test_scheduler, test_exec
@@ -31,7 +36,7 @@
 #     arena's manual poisoning of freed ranges turns any
 #     use-after-reset of a wave view into a hard failure
 #     (skip with CAMP_CI_SKIP_SANITIZE=1);
-#  4. ThreadSanitizer build (CAMP_SANITIZE=thread) over the
+#  5. ThreadSanitizer build (CAMP_SANITIZE=thread) over the
 #     concurrency-bearing tests — pool, mpn mul, batch, runtime,
 #     sharded scheduler, memory plane (per-thread arena magazines +
 #     concurrent wave slot writes), serving layer (concurrent ledger
@@ -39,7 +44,7 @@
 #     handle callbacks, the differential oracle), operand cache
 #     (sharded LRU hit/miss/evict races) — at CAMP_THREADS=4
 #     (skip with CAMP_CI_SKIP_SANITIZE=1);
-#  5. report-only coverage summary via gcovr/gcov when available
+#  6. report-only coverage summary via gcovr/gcov when available
 #     (opt in with CAMP_CI_COVERAGE=1; never gates).
 set -euo pipefail
 
@@ -111,6 +116,14 @@ else
     echo "==== ctest build (CAMP_SIMD=mulx) SKIPPED: host lacks" \
         "AVX2/BMI2/ADX ===="
 fi
+
+# End-to-end benchmark leg: one short run per workload. Timings are not
+# gated here; a build failure or a wrong product/digit fails the step.
+for workload in serve_cpu_mixed serve_sim_repeat pi_digits; do
+    echo "==== perfbench ${workload} (1 s, untraced) ===="
+    python3 perfbench/run.py --workload "${workload}" --seed 1 \
+        --seconds 1 --trace 0
+done
 
 if [[ "${CAMP_CI_SKIP_PERF:-0}" != "1" ]]; then
     # Perf-regression gate. The tolerance is deliberately loose (4x):

@@ -38,35 +38,25 @@ AnalyticDevice::mul_batch(
     result.products.resize(count);
     result.per_product.resize(count);
 
-    support::ThreadPool& pool = support::ThreadPool::global();
-    const bool fork = parallelism != 1 && count > 1 &&
-                      pool.parallel() && support::parallel_allowed();
-    result.parallelism = fork ? pool.executors() : 1;
-    const auto one = [this, &pairs, &result](std::size_t i) {
-        mpn::OpHookSuspend suspend;
-        const Natural& a = pairs[i].first;
-        const Natural& b = pairs[i].second;
-        sim::BatchProductStats& stats = result.per_product[i];
-        if (a.is_zero() || b.is_zero())
-            return; // zero product, zero accounting (BatchEngine rule)
-        CAMP_ASSERT(a.bits() <= config_.monolithic_cap_bits &&
-                    b.bits() <= config_.monolithic_cap_bits);
-        result.products[i] = a * b;
-        const sim::CoreStats per =
-            analytic_.multiply_stats(a.bits(), b.bits());
-        stats.tasks = per.tasks;
-        stats.bytes = per.bytes;
-    };
-    if (fork) {
-        support::TaskGroup group(pool);
-        for (std::size_t i = 1; i < count; ++i)
-            group.run([&one, i] { one(i); });
-        one(0);
-        group.wait();
-    } else {
-        for (std::size_t i = 0; i < count; ++i)
-            one(i);
-    }
+    result.parallelism = support::fork_slices(
+        count, parallelism, [this, &pairs, &result](std::size_t lo,
+                                                    std::size_t hi) {
+            mpn::OpHookSuspend suspend;
+            for (std::size_t i = lo; i < hi; ++i) {
+                const Natural& a = pairs[i].first;
+                const Natural& b = pairs[i].second;
+                // Zero product, zero accounting (BatchEngine rule).
+                if (a.is_zero() || b.is_zero())
+                    continue;
+                CAMP_ASSERT(a.bits() <= config_.monolithic_cap_bits &&
+                            b.bits() <= config_.monolithic_cap_bits);
+                result.products[i] = a * b;
+                const sim::CoreStats per =
+                    analytic_.multiply_stats(a.bits(), b.bits());
+                result.per_product[i].tasks = per.tasks;
+                result.per_product[i].bytes = per.bytes;
+            }
+        });
 
     for (const sim::BatchProductStats& stats : result.per_product) {
         result.tasks += stats.tasks;

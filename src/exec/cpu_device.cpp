@@ -40,38 +40,19 @@ CpuDevice::mul_batch(
     result.products.resize(count);
     result.per_product.resize(count);
     result.tasks = count;
-
-    support::ThreadPool& pool = support::ThreadPool::global();
-    const bool fork = parallelism != 1 && count > 1 && pool.parallel() &&
-                      support::parallel_allowed();
-    result.parallelism = fork ? pool.executors() : 1;
     // Contiguous slices through the SoA batch driver: same-shape
     // products inside a slice run the vertical vectorized basecase,
-    // and chunking (instead of one pool task per product) keeps task
-    // and allocation overhead amortized in the small-width regime.
-    const auto slice = [&pairs, &result](std::size_t lo,
-                                         std::size_t hi) {
-        // Pool-side arithmetic must not be announced to op hooks
-        // (ledger/profiler assume one logical app thread).
-        mpn::OpHookSuspend suspend;
-        mpn::kernels::soa_mul_batch(pairs.data() + lo, hi - lo,
-                                    result.products.data() + lo);
-    };
-    if (fork) {
-        const std::size_t chunks =
-            std::min(count,
-                     static_cast<std::size_t>(pool.executors()) * 4);
-        const std::size_t step = (count + chunks - 1) / chunks;
-        support::TaskGroup group(pool);
-        for (std::size_t lo = step; lo < count; lo += step) {
-            const std::size_t hi = std::min(count, lo + step);
-            group.run([&slice, lo, hi] { slice(lo, hi); });
-        }
-        slice(0, std::min(count, step));
-        group.wait();
-    } else {
-        slice(0, count);
-    }
+    // and chunking keeps task and allocation overhead amortized in the
+    // small-width regime.
+    result.parallelism = support::fork_slices(
+        count, parallelism, [&pairs, &result](std::size_t lo,
+                                              std::size_t hi) {
+            // Pool-side arithmetic must not be announced to op hooks
+            // (ledger/profiler assume one logical app thread).
+            mpn::OpHookSuspend suspend;
+            mpn::kernels::soa_mul_batch(pairs.data() + lo, hi - lo,
+                                        result.products.data() + lo);
+        });
     // Host products carry no simulated accounting: cycles stay zero
     // (the Fig. 13 methodology measures host time with the profiler).
     return result;
@@ -90,44 +71,25 @@ CpuDevice::mul_batch_wave(WaveBuffer& wave,
     const std::size_t count = items.size();
     result.per_product.resize(count);
     result.tasks = count;
-
-    support::ThreadPool& pool = support::ThreadPool::global();
-    const bool fork = parallelism != 1 && count > 1 && pool.parallel() &&
-                      support::parallel_allowed();
-    result.parallelism = fork ? pool.executors() : 1;
-    // Same contiguous-slice fan-out as mul_batch, but each slice feeds
-    // the raw SoA driver wave-owned operand views and result slots:
-    // steady state, a whole wave multiplies without one product-buffer
-    // allocation (this is what bench/perf_smoke's alloc_per_wave row
-    // gates on).
-    const auto slice = [&wave, &items](std::size_t lo, std::size_t hi) {
-        mpn::OpHookSuspend suspend;
-        std::vector<mpn::kernels::SoaItem> raw(hi - lo);
-        for (std::size_t k = lo; k < hi; ++k) {
-            const mpn::LimbView a = wave.operand_a(items[k]);
-            const mpn::LimbView b = wave.operand_b(items[k]);
-            raw[k - lo] = {a.ptr, a.len, b.ptr, b.len,
-                           wave.result_ptr(items[k]), 0};
-        }
-        mpn::kernels::soa_mul_batch_raw(raw.data(), raw.size());
-        for (std::size_t k = lo; k < hi; ++k)
-            wave.set_result_size(items[k], raw[k - lo].rn);
-    };
-    if (fork) {
-        const std::size_t chunks =
-            std::min(count,
-                     static_cast<std::size_t>(pool.executors()) * 4);
-        const std::size_t step = (count + chunks - 1) / chunks;
-        support::TaskGroup group(pool);
-        for (std::size_t lo = step; lo < count; lo += step) {
-            const std::size_t hi = std::min(count, lo + step);
-            group.run([&slice, lo, hi] { slice(lo, hi); });
-        }
-        slice(0, std::min(count, step));
-        group.wait();
-    } else {
-        slice(0, count);
-    }
+    // Same slices as mul_batch, but each feeds the raw SoA driver
+    // wave-owned operand views and result slots: steady state, a whole
+    // wave multiplies without one product-buffer allocation (this is
+    // what bench/perf_smoke's alloc_per_wave row gates on).
+    result.parallelism = support::fork_slices(
+        count, parallelism, [&wave, &items](std::size_t lo,
+                                            std::size_t hi) {
+            mpn::OpHookSuspend suspend;
+            std::vector<mpn::kernels::SoaItem> raw(hi - lo);
+            for (std::size_t k = lo; k < hi; ++k) {
+                const mpn::LimbView a = wave.operand_a(items[k]);
+                const mpn::LimbView b = wave.operand_b(items[k]);
+                raw[k - lo] = {a.ptr, a.len, b.ptr, b.len,
+                               wave.result_ptr(items[k]), 0};
+            }
+            mpn::kernels::soa_mul_batch_raw(raw.data(), raw.size());
+            for (std::size_t k = lo; k < hi; ++k)
+                wave.set_result_size(items[k], raw[k - lo].rn);
+        });
     return result;
 }
 

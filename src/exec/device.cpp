@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <string>
 
 #include "exec/wave.hpp"
@@ -26,11 +27,10 @@ Device::mul_batch_wave(WaveBuffer& wave,
                        const std::vector<std::uint64_t>& indices,
                        unsigned parallelism)
 {
-    // Reference implementation: materialize the operands, run the
-    // established indexed batch path (fault streams keyed by the
-    // wave-global indices, so determinism is inherited), then move the
-    // products into the wave's result slots. Backends override this to
-    // eliminate the copies; results are bit-identical either way.
+    // For devices with only a vector body: materialize the operands,
+    // run the indexed batch path (fault streams keyed by the
+    // wave-global indices, so determinism is inherited), then copy the
+    // products into the wave's result slots.
     CAMP_ASSERT(indices.size() == items.size());
     std::vector<std::pair<mpn::Natural, mpn::Natural>> pairs;
     pairs.reserve(items.size());
@@ -57,6 +57,31 @@ Device::mul_batch_wave(WaveBuffer& wave,
         wave.set_result_size(item, n);
     }
     result.products.clear();
+    return result;
+}
+
+sim::BatchResult
+Device::mul_batch_via_wave(
+    const std::vector<std::pair<mpn::Natural, mpn::Natural>>& pairs,
+    const std::vector<std::uint64_t>* indices, unsigned parallelism)
+{
+    const std::size_t count = pairs.size();
+    CAMP_ASSERT(indices == nullptr || indices->size() == count);
+    WaveBuffer wave;
+    std::vector<std::size_t> items(count);
+    for (std::size_t i = 0; i < count; ++i)
+        items[i] = wave.add(pairs[i].first, pairs[i].second);
+    std::vector<std::uint64_t> positions;
+    if (indices == nullptr) {
+        positions.resize(count);
+        std::iota(positions.begin(), positions.end(), std::uint64_t{0});
+    }
+    sim::BatchResult result = mul_batch_wave(
+        wave, items, indices != nullptr ? *indices : positions,
+        parallelism);
+    result.products.reserve(count);
+    for (const std::size_t item : items)
+        result.products.push_back(wave.take_result(item));
     return result;
 }
 

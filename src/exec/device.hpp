@@ -68,7 +68,7 @@ struct MulOutcome
  * One execution backend. Thread-compatibility contract: a Device may
  * be driven from pool tasks (SubmitQueue does), but concurrent calls
  * into the *same* device instance are not synchronized here — batch
- * fan-out happens inside mul_batch, which owns its parallelism.
+ * fan-out happens inside the batch calls, which own their parallelism.
  */
 class Device
 {
@@ -100,11 +100,20 @@ class Device
     virtual MulOutcome mul(const mpn::Natural& a,
                            const mpn::Natural& b) = 0;
 
+    /*
+     * Three batch virtuals. The wave form is the batch path: devices
+     * whose only batch body is their wave path (sim, sharded) answer
+     * the two vector forms with mul_batch_via_wave. All three stay
+     * virtual because out-of-tree decorators (perfbench's TimedDevice)
+     * override each of them.
+     */
+
     /**
      * Many independent products, every operand within
-     * base_cap_bits(). @p parallelism follows the BatchEngine
-     * convention: 0 = auto (fork across the global pool), 1 = serial,
-     * >= 2 = fork. Products are bit-identical across all settings.
+     * base_cap_bits(); product i is seeded by its position i.
+     * @p parallelism follows the BatchEngine convention: 0 = auto
+     * (fork across the global pool), 1 = serial, >= 2 = fork. Products
+     * are bit-identical across all settings.
      */
     virtual sim::BatchResult
     mul_batch(const std::vector<std::pair<mpn::Natural,
@@ -114,13 +123,10 @@ class Device
     /**
      * mul_batch with explicit per-product fault-seed indices: product
      * i draws its fault stream from seed index @p indices[i] instead
-     * of its position in @p pairs. A scheduler that splits one logical
-     * wave across several devices passes the wave-global indices so
-     * every product's fault stream is invariant under the split (the
-     * resharding-determinism contract). The default implementation
-     * ignores the indices and delegates to mul_batch — correct for
-     * any device without per-product fault streams (cpu, analytic).
-     * @p indices must be pairs.size() long.
+     * of its position in @p pairs (must be pairs.size() long). The
+     * default ignores the indices and delegates to mul_batch — correct
+     * for any device without per-product fault streams (cpu,
+     * analytic).
      */
     virtual sim::BatchResult
     mul_batch_indexed(const std::vector<std::pair<mpn::Natural,
@@ -129,22 +135,23 @@ class Device
                       unsigned parallelism = 0);
 
     /**
-     * Zero-copy wave execution (DESIGN.md §14): multiply the given
-     * @p items of @p wave (wave-global fault-seed @p indices[k] for
-     * item @p items[k]; must be the same length) and write each
-     * product into the item's preallocated wave result slot via
+     * Wave execution (DESIGN.md §14): multiply the given @p items of
+     * @p wave (wave-global fault-seed @p indices[k] for item
+     * @p items[k]; must be the same length) and write each product
+     * into the item's preallocated wave result slot via
      * WaveBuffer::set_result_size. The returned BatchResult carries
      * accounting only: `products` stays EMPTY (the wave owns the
-     * limbs) and `per_product[k]` lines up with @p items[k].
+     * limbs) and `per_product[k]` lines up with @p items[k]. A
+     * scheduler that splits one logical wave across several devices
+     * passes the wave-global indices, so every product's fault stream
+     * is invariant under the split (the resharding-determinism
+     * contract).
      *
-     * Bit-identity contract: products published into the wave are
-     * identical to what mul_batch_indexed would return for the same
-     * operands and indices (tests/test_memory_plane.cpp fuzzes this
-     * differentially per backend). The default implementation
-     * guarantees it by construction — it materializes the operands and
-     * delegates to mul_batch_indexed, then copies the products into
-     * the wave — so any backend is wave-capable; overrides (cpu, sim,
-     * sharded) only remove copies, never change results.
+     * The default materializes the operands, runs mul_batch_indexed
+     * and copies the products into the wave, so any backend that only
+     * has a vector body (analytic, the serving breaker) is
+     * wave-capable. cpu, sim and sharded override it with their one
+     * zero-copy body.
      *
      * Concurrency: callers may execute disjoint item sets of one wave
      * concurrently (the sharded scheduler does); implementations only
@@ -171,8 +178,19 @@ class Device
   protected:
     Device() = default;
 
-    mpn::MulTuning tuning_; ///< concrete constructors initialize
+    /**
+     * The vector forms over this device's own wave path: copy @p pairs
+     * into a local WaveBuffer, run mul_batch_wave with @p indices
+     * (positions 0..n-1 when null), and take the products out. The
+     * result is the wave path's, with `products` filled in pair order.
+     */
+    sim::BatchResult
+    mul_batch_via_wave(const std::vector<std::pair<mpn::Natural,
+                                                   mpn::Natural>>& pairs,
+                       const std::vector<std::uint64_t>* indices,
+                       unsigned parallelism);
 
+    mpn::MulTuning tuning_; ///< concrete constructors initialize
 };
 
 /**

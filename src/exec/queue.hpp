@@ -2,7 +2,7 @@
  * @file
  * SubmitQueue: asynchronous base-product submission with batch
  * coalescing. Independently submitted multiplications buffer in the
- * queue and execute together through Device::mul_batch, so tasks from
+ * queue and execute together through Device::mul_batch_wave, so tasks from
  * unrelated products pack the simulated IPU fabric in shared waves —
  * the batch-mode win of paper §V-B3 — instead of each product paying
  * its own partial waves. Futures resolve lazily: the first get() (or
@@ -202,7 +202,7 @@ class SubmitQueue
      * @p device executes the coalesced batches (not owned; must
      * outlive the queue). @p max_pending > 0 auto-flushes whenever
      * that many products are buffered; 0 buffers without bound until
-     * a get()/flush(). @p parallelism is forwarded to mul_batch
+     * a get()/flush(). @p parallelism is forwarded to mul_batch_wave
      * (0 = auto). @p inflight_waves sizes the wave ring: that many
      * flushes may execute concurrently (>= 1; 1 = the classic
      * double-buffered queue).

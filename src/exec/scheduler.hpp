@@ -10,12 +10,17 @@
  * flight at once so upstream submitters feel backpressure instead of
  * unbounded queueing.
  *
+ * One body does all of this: mul_batch_wave. The vector forms copy
+ * their pairs into a local WaveBuffer and run it
+ * (Device::mul_batch_via_wave), so partitioning, backpressure, sticky
+ * placement, draining and redistribution exist once.
+ *
  * Determinism contract (the property tests/test_scheduler.cpp fuzzes):
  * products are bit-identical for every shard count, including under
  * armed fault injection. The key is seeding — every product's fault
- * stream is derived from its *wave-global* index via
- * Device::mul_batch_indexed, so repartitioning a wave never moves a
- * product onto a different fault stream. Detected-faulty products are
+ * stream is derived from its *wave-global* index (the indices handed
+ * to each shard's mul_batch_wave), so repartitioning a wave never
+ * moves a product onto a different fault stream. Detected-faulty products are
  * *redistributed*: recomputed exactly on a surviving peer shard's
  * self-checking mul path (PR-1 policy: golden check, bounded retries,
  * CPU fallback), or on the host CPU when no exact-capable peer is
@@ -83,7 +88,7 @@ struct ShardPolicy
 
     /** Session stickiness for repeated-operand traffic (the serving
      * plane's repeat_fraction clients): remember an operand-pair
-     * digest -> shard affinity on the zero-copy wave path and pin
+     * digest -> shard affinity and pin
      * repeats to their previous shard (warm operand footprint), with
      * the remaining items LPT-balanced around the pinned load.
      * Placement only — products are bit-identical wherever they run
@@ -155,20 +160,14 @@ class ShardedScheduler : public Device
     MulOutcome mul(const mpn::Natural& a,
                    const mpn::Natural& b) override;
 
-    /** One wave: pairs are seeded by their position (wave-global
-     * indices 0..n-1), LPT-partitioned, and executed concurrently. */
+    /** One wave through mul_batch_wave, seeded by position. */
     sim::BatchResult
     mul_batch(const std::vector<std::pair<mpn::Natural,
                                           mpn::Natural>>& pairs,
               unsigned parallelism = 0) override;
 
-    /** One wave with explicit wave-global fault-seed indices (see
-     * Device::mul_batch_indexed). Aggregate cycles/waves are the max
-     * over the concurrent shards (they run in parallel); tasks, bytes,
-     * injected, and faulty are sums; parallelism reports the number of
-     * shards the wave actually used. per_product entries keep each
-     * product's deterministic accounting — including the faulty flag
-     * of a product that was detected and then recovered exactly. */
+    /** One wave through mul_batch_wave with explicit wave-global
+     * fault-seed indices. */
     sim::BatchResult
     mul_batch_indexed(const std::vector<std::pair<mpn::Natural,
                                                   mpn::Natural>>& pairs,
@@ -176,14 +175,19 @@ class ShardedScheduler : public Device
                       unsigned parallelism = 0) override;
 
     /**
-     * Zero-copy wave execution: the LPT partition is computed from the
-     * wave's operand views, each shard receives its item subset of the
-     * *same* WaveBuffer (per-shard staging lists live in recycled
+     * One wave: the LPT partition (or the sticky one) is computed from
+     * the wave's operand views, each shard receives its item subset of
+     * the *same* WaveBuffer (per-shard staging lists live in recycled
      * wave-slot storage, so steady state the scheduler allocates
      * nothing per wave), and shards write products straight into the
-     * wave's disjoint result slots. Failure and faulty-product
-     * recovery follow the indexed path exactly — recovered products
-     * are published into the wave before returning.
+     * wave's disjoint result slots. Detected-faulty products and the
+     * shares of throwing shards are recovered exactly and published
+     * into the wave before returning. Aggregate cycles/waves are the
+     * max over the concurrent shards; tasks, bytes, injected and
+     * faulty are sums; parallelism reports the number of shards the
+     * wave used. per_product entries keep each product's deterministic
+     * accounting — including the faulty flag of a product that was
+     * detected and then recovered exactly.
      */
     sim::BatchResult
     mul_batch_wave(WaveBuffer& wave,
@@ -293,9 +297,9 @@ class ShardedScheduler : public Device
                                  const mpn::Natural& b,
                                  std::uint64_t& injected);
 
-    void check_operands(
-        const std::vector<std::pair<mpn::Natural, mpn::Natural>>& pairs)
-        const;
+    /** Throws camp::InvalidArgument for an operand of @p bits beyond
+     * cap_bits_. */
+    void check_bits(std::uint64_t bits) const;
 
     ShardPolicy policy_;
     std::vector<std::unique_ptr<Shard>> shards_;

@@ -38,11 +38,7 @@ SimDevice::mul_batch(
     const std::vector<std::pair<Natural, Natural>>& pairs,
     unsigned parallelism)
 {
-    // Validation always on: without faults it asserts exactness
-    // (library bug otherwise); with faults armed mismatching products
-    // are the expected detection path, counted in BatchResult::faulty.
-    sim::BatchEngine engine(config_, /*validate=*/true);
-    return engine.multiply_batch(pairs, parallelism);
+    return mul_batch_via_wave(pairs, nullptr, parallelism);
 }
 
 sim::BatchResult
@@ -50,8 +46,7 @@ SimDevice::mul_batch_indexed(
     const std::vector<std::pair<Natural, Natural>>& pairs,
     const std::vector<std::uint64_t>& indices, unsigned parallelism)
 {
-    sim::BatchEngine engine(config_, /*validate=*/true);
-    return engine.multiply_batch(pairs, parallelism, &indices);
+    return mul_batch_via_wave(pairs, &indices, parallelism);
 }
 
 sim::BatchResult
@@ -65,6 +60,9 @@ SimDevice::mul_batch_wave(WaveBuffer& wave,
     views.reserve(items.size());
     for (const std::size_t item : items)
         views.emplace_back(wave.operand_a(item), wave.operand_b(item));
+    // Validation always on: without faults it asserts exactness
+    // (library bug otherwise); with faults armed mismatching products
+    // are the expected detection path, counted in BatchResult::faulty.
     sim::BatchEngine engine(config_, /*validate=*/true);
     sim::BatchResult result = engine.multiply_batch_views(
         views.data(), views.size(), parallelism, &indices);

@@ -41,6 +41,7 @@ class SimDevice : public Device
     MulOutcome mul(const mpn::Natural& a,
                    const mpn::Natural& b) override;
 
+    /** The vector forms run the wave path (mul_batch_via_wave). */
     sim::BatchResult
     mul_batch(const std::vector<std::pair<mpn::Natural,
                                           mpn::Natural>>& pairs,
@@ -52,10 +53,10 @@ class SimDevice : public Device
                       const std::vector<std::uint64_t>& indices,
                       unsigned parallelism = 0) override;
 
-    /** Wave execution through BatchEngine::multiply_batch_views: the
-     * engine streams operands straight from the wave's limb runs (the
-     * host-side pair materialization of the default path disappears;
-     * the simulated stream-in copy is intrinsic to the model). */
+    /** The one batch body, through BatchEngine::multiply_batch_views:
+     * the engine streams operands straight from the wave's limb runs
+     * (the simulated stream-in copy is intrinsic to the model) and the
+     * gathered products are published into the wave's result slots. */
     sim::BatchResult
     mul_batch_wave(WaveBuffer& wave,
                    const std::vector<std::size_t>& items,

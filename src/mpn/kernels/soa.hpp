@@ -27,14 +27,9 @@ constexpr std::size_t kSoaMaxLimbs = 64;
 
 /**
  * Multiply @p count independent products out[i] = pairs[i].first *
- * pairs[i].second. Pairs whose shapes can be grouped into full
- * SIMD-width lanes inside the eligibility window run through the
- * vertical SoA kernel of the active tier; everything else (odd
- * remainders, oversize or zero operands, scalar tier) takes the
- * ordinary per-product path. Results are bit-identical either way.
- *
- * Returns the number of products computed via the SoA kernel
- * (0 when the active tier has none).
+ * pairs[i].second: allocates each nonzero product's buffer and runs
+ * soa_mul_batch_raw over them. Returns the number of products
+ * computed via the SoA kernel (0 when the active tier has none).
  */
 std::size_t
 soa_mul_batch(const std::pair<Natural, Natural>* pairs,
@@ -66,12 +61,14 @@ struct SoaItem
 };
 
 /**
- * Raw-pointer twin of soa_mul_batch over wave-owned storage: same
- * grouping, same vertical kernels, bit-identical products — but
- * results land in the caller's preallocated slots instead of fresh
- * Natural vectors. Operand order within an item may be swapped in
- * place (the product is symmetric). Returns the number of products
- * computed via the SoA kernel.
+ * The batch driver. Items whose shapes can be grouped into full
+ * SIMD-width lanes inside the eligibility window run through the
+ * vertical SoA kernel of the active tier; everything else (odd
+ * remainders, oversize or zero operands, scalar tier) takes the
+ * ordinary per-product kernel. Products are bit-identical either way
+ * and land in the caller's preallocated slots. Operand order within
+ * an item may be swapped in place (the product is symmetric). Returns
+ * the number of products computed via the SoA kernel.
  */
 std::size_t soa_mul_batch_raw(SoaItem* items, std::size_t count);
 

@@ -92,6 +92,12 @@ class BreakerDevice : public exec::Device
     exec::MulOutcome mul(const mpn::Natural& a,
                          const mpn::Natural& b) override;
 
+    /** The breaker stays on the vector form (waves reach it through
+     * the default Device::mul_batch_wave): a wave override measured
+     * faster, but perfbench fits more replays into its fixed-length
+     * run and keeps ~64 KB per replay, so its peak_rss_mb rose past
+     * the bound. It lands once that per-replay memory is freed
+     * (ROADMAP item 3). */
     sim::BatchResult
     mul_batch(const std::vector<std::pair<mpn::Natural,
                                           mpn::Natural>>& pairs,

@@ -98,44 +98,49 @@ BatchEngine::multiply_one(std::uint64_t seed_index, const Natural& a,
     return out;
 }
 
-unsigned
-BatchEngine::run_slices(
-    std::size_t count, unsigned parallelism,
-    const std::function<void(std::size_t, std::size_t)>& run_slice)
-    const
+BatchResult
+BatchEngine::multiply_batch(
+    const std::vector<std::pair<Natural, Natural>>& pairs,
+    unsigned parallelism, const std::vector<std::uint64_t>* seed_indices)
 {
-    support::ThreadPool& pool = support::ThreadPool::global();
-    const bool fork = parallelism != 1 && count > 1 && pool.parallel() &&
-                      support::parallel_allowed();
-    // Products are chunked per pool task: one task per product drowned
-    // small widths in spawn/steal overhead (the 0.47x batch_mul_pooled
-    // regression). Outcomes depend only on the seed index, so placement
-    // and chunking never change the results.
-    if (fork) {
-        const std::size_t chunks =
-            std::min(count,
-                     static_cast<std::size_t>(pool.executors()) * 4);
-        const std::size_t step = (count + chunks - 1) / chunks;
-        support::TaskGroup group(pool);
-        for (std::size_t lo = step; lo < count; lo += step) {
-            const std::size_t hi = std::min(count, lo + step);
-            group.run([&run_slice, lo, hi] { run_slice(lo, hi); });
-        }
-        run_slice(0, std::min(count, step));
-        group.wait();
-        return pool.executors();
-    }
-    run_slice(0, count);
-    return 1;
+    std::vector<std::pair<mpn::LimbView, mpn::LimbView>> views;
+    views.reserve(pairs.size());
+    for (const auto& [a, b] : pairs)
+        views.emplace_back(mpn::LimbView(a), mpn::LimbView(b));
+    return multiply_batch_views(views.data(), views.size(), parallelism,
+                                seed_indices);
 }
 
-void
-BatchEngine::fold_outcomes(std::vector<ProductOutcome>& outcomes,
-                           BatchResult& result) const
+BatchResult
+BatchEngine::multiply_batch_views(
+    const std::pair<mpn::LimbView, mpn::LimbView>* views,
+    std::size_t count, unsigned parallelism,
+    const std::vector<std::uint64_t>* seed_indices)
 {
     namespace metrics = support::metrics;
+    support::trace::Span span("sim.batch.multiply_batch", "sim");
+    span.arg("count", static_cast<double>(count));
+    BatchResult result;
+    CAMP_ASSERT(seed_indices == nullptr ||
+                seed_indices->size() == count);
+    std::vector<ProductOutcome> outcomes(count);
+    // Each product materializes its operands from the views on the
+    // executing pool thread: that copy *is* the simulated stream-in
+    // (the core reads operands into its SRAM regardless). Outcomes
+    // depend only on the seed index, so placement and chunking never
+    // change the results.
+    result.parallelism = support::fork_slices(
+        count, parallelism,
+        [this, &outcomes, views, seed_indices](std::size_t lo,
+                                               std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                outcomes[i] = multiply_one(
+                    seed_indices == nullptr ? i : (*seed_indices)[i],
+                    views[i].first.to_natural(),
+                    views[i].second.to_natural());
+        });
+
     // Fold in product order: aggregates are independent of placement.
-    const std::size_t count = outcomes.size();
     std::uint64_t stall_cycles = 0;
     result.products.reserve(count);
     result.per_product.reserve(count);
@@ -170,67 +175,6 @@ BatchEngine::fold_outcomes(std::vector<ProductOutcome>& outcomes,
             static_cast<double>(result.bytes) / bpc + 0.999999) +
         stall_cycles;
     result.cycles = std::max<std::uint64_t>(compute, memory_cycles);
-}
-
-BatchResult
-BatchEngine::multiply_batch(
-    const std::vector<std::pair<Natural, Natural>>& pairs,
-    unsigned parallelism, const std::vector<std::uint64_t>* seed_indices)
-{
-    support::trace::Span span("sim.batch.multiply_batch", "sim");
-    span.arg("count", static_cast<double>(pairs.size()));
-    BatchResult result;
-    const std::size_t count = pairs.size();
-    CAMP_ASSERT(seed_indices == nullptr ||
-                seed_indices->size() == count);
-    std::vector<ProductOutcome> outcomes(count);
-    const auto seed_of = [seed_indices](std::size_t i) {
-        return seed_indices == nullptr
-                   ? static_cast<std::uint64_t>(i)
-                   : (*seed_indices)[i];
-    };
-    const auto run_slice = [this, &outcomes, &pairs,
-                            &seed_of](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            outcomes[i] = multiply_one(seed_of(i), pairs[i].first,
-                                       pairs[i].second);
-    };
-    result.parallelism = run_slices(count, parallelism, run_slice);
-    fold_outcomes(outcomes, result);
-    return result;
-}
-
-BatchResult
-BatchEngine::multiply_batch_views(
-    const std::pair<mpn::LimbView, mpn::LimbView>* views,
-    std::size_t count, unsigned parallelism,
-    const std::vector<std::uint64_t>* seed_indices)
-{
-    support::trace::Span span("sim.batch.multiply_batch", "sim");
-    span.arg("count", static_cast<double>(count));
-    BatchResult result;
-    CAMP_ASSERT(seed_indices == nullptr ||
-                seed_indices->size() == count);
-    std::vector<ProductOutcome> outcomes(count);
-    const auto seed_of = [seed_indices](std::size_t i) {
-        return seed_indices == nullptr
-                   ? static_cast<std::uint64_t>(i)
-                   : (*seed_indices)[i];
-    };
-    // Each product materializes its operands from the wave-owned views
-    // on the executing pool thread: that copy *is* the simulated
-    // stream-in (the core reads operands into its SRAM regardless), so
-    // the host-side hop SubmitQueue used to pay is gone while the sim
-    // dataflow is unchanged.
-    const auto run_slice = [this, &outcomes, views,
-                            &seed_of](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            outcomes[i] = multiply_one(seed_of(i),
-                                       views[i].first.to_natural(),
-                                       views[i].second.to_natural());
-    };
-    result.parallelism = run_slices(count, parallelism, run_slice);
-    fold_outcomes(outcomes, result);
     return result;
 }
 

@@ -22,7 +22,6 @@
 #define CAMP_SIM_BATCH_HPP
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "mpn/natural.hpp"
@@ -115,13 +114,13 @@ class BatchEngine
 
     /**
      * multiply_batch over operand *views* (wave-owned limb runs, see
-     * exec::WaveBuffer): the simulated core streams each operand into
-     * its SRAM from wherever the view points, so the host side needs
-     * no Natural materialization before the call — the per-product
-     * copy happens on the pool thread, inside the simulated stream-in
-     * boundary. Semantics (fault streams, accounting, bit-identity
-     * across parallelism) are exactly multiply_batch's; @p views must
-     * stay valid for the whole call.
+     * exec::WaveBuffer) — the engine's one batch body; multiply_batch
+     * borrows views of its pairs and calls it. The simulated core
+     * streams each operand into its SRAM from wherever the view
+     * points, so the host side needs no Natural materialization before
+     * the call — the per-product copy happens on the pool thread,
+     * inside the simulated stream-in boundary. @p views must stay
+     * valid for the whole call.
      */
     BatchResult
     multiply_batch_views(const std::pair<mpn::LimbView,
@@ -145,18 +144,6 @@ class BatchEngine
     ProductOutcome multiply_one(std::uint64_t seed_index,
                                 const mpn::Natural& a,
                                 const mpn::Natural& b) const;
-
-    /** Chunked fork of [0, count) across the global pool (serial when
-     * parallelism==1 or the pool is empty); returns executors used. */
-    unsigned run_slices(
-        std::size_t count, unsigned parallelism,
-        const std::function<void(std::size_t, std::size_t)>& run_slice)
-        const;
-
-    /** Fold outcomes in product order into @p result (products,
-     * per-product stats, aggregates, waves/cycles, batch metrics). */
-    void fold_outcomes(std::vector<ProductOutcome>& outcomes,
-                       BatchResult& result) const;
 
     SimConfig config_;
     bool validate_;

@@ -1,5 +1,6 @@
 #include "support/thread_pool.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 
@@ -333,6 +334,29 @@ bool
 parallel_allowed()
 {
     return t_serial_depth == 0;
+}
+
+unsigned
+fork_slices(std::size_t count, unsigned parallelism,
+            const std::function<void(std::size_t, std::size_t)>& slice)
+{
+    ThreadPool& pool = ThreadPool::global();
+    if (parallelism == 1 || count <= 1 || !pool.parallel() ||
+        !parallel_allowed()) {
+        slice(0, count);
+        return 1;
+    }
+    const std::size_t chunks =
+        std::min(count, static_cast<std::size_t>(pool.executors()) * 4);
+    const std::size_t step = (count + chunks - 1) / chunks;
+    TaskGroup group(pool);
+    for (std::size_t lo = step; lo < count; lo += step) {
+        const std::size_t hi = std::min(count, lo + step);
+        group.run([&slice, lo, hi] { slice(lo, hi); });
+    }
+    slice(0, std::min(count, step));
+    group.wait();
+    return pool.executors();
 }
 
 } // namespace camp::support

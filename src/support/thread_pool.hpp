@@ -236,6 +236,20 @@ class SerialGuard
 /** False inside a SerialGuard on this thread. */
 bool parallel_allowed();
 
+/**
+ * Chunked fork of the index range [0, @p count) over the global pool:
+ * up to four contiguous slices per executor, @p slice(lo, hi) once per
+ * slice, the first slice on the calling thread. One task per item
+ * drowned small items in spawn/steal overhead, hence the chunking.
+ * Runs one serial slice over the whole range when @p parallelism is 1,
+ * count <= 1, the pool has no workers, or inside a SerialGuard.
+ * Returns the executors used (the pool's when forked, else 1) — the
+ * batch paths' `parallelism` report.
+ */
+unsigned fork_slices(
+    std::size_t count, unsigned parallelism,
+    const std::function<void(std::size_t, std::size_t)>& slice);
+
 } // namespace camp::support
 
 #endif // CAMP_SUPPORT_THREAD_POOL_HPP

@@ -29,7 +29,6 @@
 namespace exec = camp::exec;
 namespace sim = camp::sim;
 using camp::mpn::Natural;
-using camp::mpapca::Backend;
 using camp::mpapca::Runtime;
 
 namespace {
@@ -613,18 +612,16 @@ TEST(SubmitQueue, TakeRethrowsTypedFlushFailure)
     EXPECT_EQ(future.error(), camp::ErrorCode::HardwareFault);
 }
 
-TEST(RuntimeExec, StringBackendMatchesEnumBackend)
+TEST(RuntimeExec, RegistryNameSelectsBackend)
 {
-    Runtime by_enum(Backend::CambriconP);
     Runtime by_name("sim");
     camp::Rng rng(6000);
     const Natural a = Natural::random_bits(rng, 100000);
     const Natural b = Natural::random_bits(rng, 99000);
-    EXPECT_EQ(by_enum.mul_functional(a, b), by_name.mul_functional(a, b));
-    EXPECT_EQ(by_enum.base_products(), by_name.base_products())
-        << "identical decomposition on both construction paths";
-    EXPECT_EQ(by_name.backend(), Backend::CambriconP);
-    EXPECT_EQ(Runtime("cpu").backend(), Backend::Cpu);
+    EXPECT_EQ(by_name.mul_functional(a, b), a * b);
+    EXPECT_GT(by_name.base_products(), 0u);
+    EXPECT_STREQ(by_name.device().name(), "sim");
+    EXPECT_STREQ(Runtime("cpu").device().name(), "cpu");
     EXPECT_THROW(Runtime("not-a-backend"), camp::InvalidArgument);
 }
 
@@ -647,7 +644,7 @@ TEST(RuntimeExec, FunctionalMulBitIdenticalAcrossBackends)
 
 TEST(RuntimeExec, MultiplyBatchEdgeCases)
 {
-    Runtime runtime(Backend::CambriconP);
+    Runtime runtime("sim");
     // Empty batch: a no-op, not a crash.
     const sim::BatchResult empty = runtime.multiply_batch({});
     EXPECT_TRUE(empty.products.empty());
@@ -686,7 +683,7 @@ TEST(RuntimeExec, BatchSerialAndPooledBitIdentical)
     // products AND identical per-product accounting; exercised through
     // the device's explicit parallelism switch so the test is
     // meaningful on any host core count.
-    Runtime runtime(Backend::CambriconP);
+    Runtime runtime("sim");
     camp::Rng rng(fuzz_seed(6300));
     std::vector<std::pair<Natural, Natural>> pairs;
     for (int i = 0; i < 12; ++i)

@@ -21,6 +21,7 @@
 #include "exec/registry.hpp"
 #include "exec/scheduler.hpp"
 #include "exec/sim_device.hpp"
+#include "exec/wave.hpp"
 #include "mpapca/runtime.hpp"
 #include "mpn/natural.hpp"
 #include "support/errors.hpp"
@@ -267,9 +268,33 @@ TEST(ShardedScheduler, FaultStreamsInvariantUnderResharding)
 
     const auto s1 = sim_sharded(1, config);
     const auto s2 = sim_sharded(2, config);
+    const auto s4 = sim_sharded(4, config);
     const auto s8 = sim_sharded(8, config);
+    // Twins of s1 and s4 driven through the wave form: the vector
+    // calls run the same wave path, so the two forms agree per
+    // product.
+    const auto w1 = sim_sharded(1, config);
+    const auto w4 = sim_sharded(4, config);
     EXPECT_TRUE(s1->shard(0).policy().enabled)
         << "armed faults auto-enable per-shard checking";
+    const auto run_wave = [](exec::ShardedScheduler& scheduler,
+                             const std::vector<std::pair<Natural,
+                                                         Natural>>& pairs,
+                             std::vector<Natural>& products) {
+        exec::WaveBuffer wave;
+        std::vector<std::size_t> items;
+        std::vector<std::uint64_t> indices;
+        for (const auto& [a, b] : pairs) {
+            indices.push_back(items.size());
+            items.push_back(wave.add(a, b));
+        }
+        sim::BatchResult result =
+            scheduler.mul_batch_wave(wave, items, indices);
+        products.clear();
+        for (const std::size_t item : items)
+            products.push_back(wave.take_result(item));
+        return result;
+    };
 
     const std::uint64_t redistributed_metric_before =
         metrics::counter("exec.scheduler.redistributed").value();
@@ -285,10 +310,23 @@ TEST(ShardedScheduler, FaultStreamsInvariantUnderResharding)
                 Natural::random_bits(rng, 1 + rng.below(2500)));
         const sim::BatchResult r1 = s1->mul_batch(pairs);
         const sim::BatchResult r2 = s2->mul_batch(pairs);
+        const sim::BatchResult r4 = s4->mul_batch(pairs);
         const sim::BatchResult r8 = s8->mul_batch(pairs);
+        std::vector<Natural> wave1_products;
+        std::vector<Natural> wave4_products;
+        const sim::BatchResult wave1 =
+            run_wave(*w1, pairs, wave1_products);
+        const sim::BatchResult wave4 =
+            run_wave(*w4, pairs, wave4_products);
         ASSERT_EQ(r1.per_product.size(), pairs.size());
+        ASSERT_EQ(r4.per_product.size(), pairs.size());
+        ASSERT_EQ(wave1.per_product.size(), pairs.size());
+        ASSERT_EQ(wave4.per_product.size(), pairs.size());
         EXPECT_EQ(r1.faulty, r2.faulty);
+        EXPECT_EQ(r1.faulty, r4.faulty);
         EXPECT_EQ(r1.faulty, r8.faulty);
+        EXPECT_EQ(r1.faulty, wave1.faulty);
+        EXPECT_EQ(r1.faulty, wave4.faulty);
         total_faulty += r1.faulty;
         for (std::size_t i = 0; i < pairs.size(); ++i) {
             const Natural golden =
@@ -298,8 +336,24 @@ TEST(ShardedScheduler, FaultStreamsInvariantUnderResharding)
                 << " CAMP_FUZZ_SEED=" << seed;
             ASSERT_EQ(r2.products[i], golden)
                 << "batch=" << batch << " i=" << i;
+            ASSERT_EQ(r4.products[i], golden)
+                << "batch=" << batch << " i=" << i;
             ASSERT_EQ(r8.products[i], golden)
                 << "batch=" << batch << " i=" << i;
+            ASSERT_EQ(wave1_products[i], golden)
+                << "batch=" << batch << " i=" << i;
+            ASSERT_EQ(wave4_products[i], golden)
+                << "batch=" << batch << " i=" << i;
+            // Vector and wave calls flag the same products faulty.
+            EXPECT_EQ(r1.per_product[i].faulty,
+                      wave1.per_product[i].faulty)
+                << i;
+            EXPECT_EQ(r4.per_product[i].faulty,
+                      wave4.per_product[i].faulty)
+                << i;
+            EXPECT_EQ(r1.per_product[i].faulty,
+                      r4.per_product[i].faulty)
+                << i;
             // The resharding-determinism contract, element-wise.
             EXPECT_EQ(r1.per_product[i].injected,
                       r2.per_product[i].injected)
@@ -321,17 +375,21 @@ TEST(ShardedScheduler, FaultStreamsInvariantUnderResharding)
     // drain_fault_threshold = 0: the shard set never shrank, so every
     // shard count executed its full configuration throughout.
     EXPECT_EQ(s2->alive_count(), 2u);
+    EXPECT_EQ(s4->alive_count(), 4u);
     EXPECT_EQ(s8->alive_count(), 8u);
-    EXPECT_EQ(s1->stats().redistributed, total_faulty);
-    EXPECT_EQ(s2->stats().redistributed, total_faulty);
-    EXPECT_EQ(s8->stats().redistributed, total_faulty);
+    EXPECT_EQ(w4->alive_count(), 4u);
+    const std::vector<const exec::ShardedScheduler*> schedulers = {
+        s1.get(), s2.get(), s4.get(), s8.get(), w1.get(), w4.get()};
+    for (const auto* scheduler : schedulers)
+        EXPECT_EQ(scheduler->stats().redistributed, total_faulty)
+            << "shards=" << scheduler->shard_count();
     // Drain-path accounting: the process-wide counter moved by exactly
-    // the redistributions the three schedulers performed, and each
+    // the redistributions the schedulers performed, and each
     // scheduler's per-shard stats sum to the faults injected into it.
     EXPECT_EQ(metrics::counter("exec.scheduler.redistributed").value() -
                   redistributed_metric_before,
-              3 * total_faulty);
-    for (const auto* scheduler : {s1.get(), s2.get(), s8.get()}) {
+              schedulers.size() * total_faulty);
+    for (const auto* scheduler : schedulers) {
         std::uint64_t per_shard_sum = 0;
         for (std::size_t i = 0; i < scheduler->shard_count(); ++i)
             per_shard_sum += scheduler->shard_stats(i).redistributed;

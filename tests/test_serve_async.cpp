@@ -529,6 +529,22 @@ TEST(StickySessions, RepeatedOperandsPinWithoutChangingOutcomes)
     EXPECT_GT(sticky.stats().affinity_hits, 0u);
     EXPECT_GT(sticky.stats().affinity_misses, 0u);
     EXPECT_EQ(plain.stats().affinity_hits, 0u);
+
+    // The vector form runs the same wave path: a repeated batch pins
+    // every pair to the shard it ran on, with the non-sticky
+    // scheduler's products.
+    std::vector<std::pair<Natural, Natural>> pairs;
+    for (std::size_t i = 0; i < 16; ++i)
+        pairs.emplace_back(workload[i].a, workload[i].b);
+    const sim::BatchResult first = sticky.mul_batch(pairs);
+    const std::uint64_t hits_before = sticky.stats().affinity_hits;
+    const sim::BatchResult again = sticky.mul_batch(pairs);
+    EXPECT_EQ(sticky.stats().affinity_hits - hits_before, pairs.size());
+    const sim::BatchResult reference = plain.mul_batch(pairs);
+    ASSERT_EQ(reference.products.size(), pairs.size());
+    EXPECT_EQ(first.products, reference.products);
+    EXPECT_EQ(again.products, reference.products);
+    EXPECT_EQ(plain.stats().affinity_hits, 0u);
 }
 
 // ---------------------------------------------------------------------
