@@ -17,7 +17,8 @@
 #     its own package and runs each BENCHMARK.json workload for one
 #     second; it exits nonzero on a build error or a wrong result. Its
 #     TimedDevice overrides every exec::Device batch virtual, so this
-#     is where a change to that interface shows up;
+#     is where a change to that interface shows up. pi_digits also runs
+#     traced, which checks its exact counters plain against traced;
 #  3. perf-regression gate: perf_smoke and batch_throughput vs
 #     bench/baselines at a generous machine-portability tolerance, a
 #     CAMP_TRACE export smoke-checked through tools/trace_report, and a
@@ -42,7 +43,8 @@
 #     concurrent wave slot writes), serving layer (concurrent ledger
 #     folding), async wall-clock serving (overlapping wave workers,
 #     handle callbacks, the differential oracle), operand cache
-#     (sharded LRU hit/miss/evict races) — at CAMP_THREADS=4
+#     (sharded LRU hit/miss/evict races), decimal conversion (the
+#     shared 10^(2^k) table) — at CAMP_THREADS=4
 #     (skip with CAMP_CI_SKIP_SANITIZE=1);
 #  6. report-only coverage summary via gcovr/gcov when available
 #     (opt in with CAMP_CI_COVERAGE=1; never gates).
@@ -124,6 +126,12 @@ for workload in serve_cpu_mixed serve_sim_repeat pi_digits; do
     python3 perfbench/run.py --workload "${workload}" --seed 1 \
         --seconds 1 --trace 0
 done
+# Traced Pi leg: the traced arm runs binary_split then finalize_pi and
+# fails unless every exact counter (mpn.alloc.count, mpn.mul.algo.*)
+# equals the plain compute_pi calls', so work moved between the two
+# halves and compute_pi shows up here.
+echo "==== perfbench pi_digits (1 s, traced) ===="
+python3 perfbench/run.py --workload pi_digits --seed 1 --seconds 1 --trace 1
 
 if [[ "${CAMP_CI_SKIP_PERF:-0}" != "1" ]]; then
     # Perf-regression gate. The tolerance is deliberately loose (4x):
@@ -245,11 +253,11 @@ if [[ "${CAMP_CI_SKIP_SANITIZE:-0}" != "1" ]]; then
     cmake --build build-tsan -j "${JOBS}" --target \
         test_thread_pool test_mpn_mul test_sim_batch test_mpapca \
         test_scheduler test_memory_plane test_serve test_serve_async \
-        test_opcache
+        test_opcache test_natural
     echo "==== tsan tests (CAMP_THREADS=4) ===="
     for t in test_thread_pool test_mpn_mul test_sim_batch test_mpapca \
              test_scheduler test_memory_plane test_serve \
-             test_serve_async test_opcache; do
+             test_serve_async test_opcache test_natural; do
         echo "---- ${t} ----"
         CAMP_THREADS=4 ./build-tsan/tests/"${t}"
     done

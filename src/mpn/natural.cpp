@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <deque>
+#include <mutex>
 #include <stdexcept>
 
 #include "mpn/basic.hpp"
@@ -324,11 +326,18 @@ Natural::from_bytes(const std::uint8_t* data, std::size_t size)
 
 namespace {
 
-/** Cached 10^(2^k) table so both conversions split at the same points. */
+/**
+ * Cached 10^(2^k) table so both conversions split at the same points.
+ * Conversions may run on several threads at once: the table grows under
+ * a lock, and a deque keeps the references it hands out valid while it
+ * grows.
+ */
 const Natural&
 pow10_pow2(unsigned k)
 {
-    static std::vector<Natural> cache{Natural(10)};
+    static std::mutex mutex;
+    static std::deque<Natural> cache{Natural(10)};
+    const std::lock_guard<std::mutex> lock(mutex);
     while (cache.size() <= k)
         cache.push_back(cache.back() * cache.back());
     return cache[k];
@@ -371,20 +380,31 @@ from_decimal_rec(std::string_view s)
     return high * pow10_pow2(k) + lo;
 }
 
+/** Values of at most this many limbs convert by one-limb divisions. */
+constexpr std::size_t kDecimalBasecaseLimbs = 16;
+
 void
 to_decimal_rec(const Natural& n, std::uint64_t digits, std::string& out)
 {
     // Writes exactly `digits` characters (zero padded) for n < 10^digits.
-    if (digits <= kDigitsPerLimb) {
-        char buf[24];
-        Limb v = n.to_uint64();
-        CAMP_ASSERT(n.size() <= 1);
-        for (std::uint64_t i = digits; i-- > 0;) {
-            buf[i] = static_cast<char>('0' + v % 10);
-            v /= 10;
+    if (n.size() <= kDecimalBasecaseLimbs) {
+        // Peel 19 digits at a time off the bottom, right to left.
+        Limb v[kDecimalBasecaseLimbs] = {};
+        std::size_t vn = n.size();
+        std::copy(n.limbs().begin(), n.limbs().end(), v);
+        out.append(digits, '0');
+        char* const first = out.data() + out.size() - digits;
+        char* pos = out.data() + out.size();
+        while (vn != 0) {
+            Limb chunk = divrem_1(v, v, vn, kPow10PerLimb);
+            vn = normalized_size(v, vn);
+            for (unsigned i = 0;
+                 i < kDigitsPerLimb && (vn != 0 || chunk != 0); ++i) {
+                CAMP_ASSERT(pos != first);
+                *--pos = static_cast<char>('0' + chunk % 10);
+                chunk /= 10;
+            }
         }
-        CAMP_ASSERT(v == 0);
-        out.append(buf, digits);
         return;
     }
     const unsigned k = static_cast<unsigned>(ceil_log2(digits) - 1);

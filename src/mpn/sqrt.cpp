@@ -242,25 +242,37 @@ sqrtrem(Limb* sp, Limb* rp, const Limb* ap, std::size_t an)
     const std::size_t hn = (n + 1) / 2;
     std::vector<Limb> s2(hn), r2(hn + 2, 0);
     sqrtrem_rec(s2.data(), r2.data(), a2.data(), n);
-    if (e != 0)
-        rshift(s2.data(), s2.data(), hn, e / 2);
+
+    // Undo the shift without squaring (as GMP does). With k = e/2 and
+    // c the low k bits of s2, s2 = s 2^k + c, so
+    // a 2^e = s2^2 + r2 = s^2 2^e + 2 s c 2^k + c^2 + r2 gives
+    // r = a - s^2 = (r2 + 2 c s2 - c^2) >> e, an exact shift.
+    if (e != 0) {
+        const unsigned k = e / 2;
+        const Limb c = s2[0] & ((Limb{1} << k) - 1);
+        Limb carry = addmul_1(r2.data(), s2.data(), hn, 2 * c);
+        carry = add_1(r2.data() + hn, r2.data() + hn, 2, carry);
+        CAMP_ASSERT(carry == 0);
+        const Limb borrow = sub_1(r2.data(), r2.data(), hn + 2, c * c);
+        CAMP_ASSERT(borrow == 0);
+        const Limb out = rshift(r2.data(), r2.data(), hn + 2, e);
+        CAMP_ASSERT(out == 0);
+        rshift(s2.data(), s2.data(), hn, k);
+    }
+    const std::size_t rn = normalized_size(r2.data(), hn + 2);
+
+    // 0 <= r <= 2s, i.e. s^2 <= a < (s + 1)^2 (r >= 0 is the borrow
+    // check above).
+    std::vector<Limb> twice(hn + 1);
+    twice[hn] = lshift(twice.data(), s2.data(), hn, 1);
+    CAMP_ASSERT(cmp(r2.data(), rn, twice.data(),
+                    normalized_size(twice.data(), hn + 1)) <= 0);
 
     zero(sp, h);
     copy(sp, s2.data(), hn);
-
-    // Recompute r = a - s^2 (also revalidates the shift correction).
-    std::vector<Limb> sq(2 * hn + 1, 0);
-    sqr(sq.data(), s2.data(), hn);
-    const std::size_t sqn = normalized_size(sq.data(), 2 * hn);
-    std::vector<Limb> rem(n, 0);
-    CAMP_ASSERT(cmp(ap, n, sq.data(), sqn) >= 0);
-    copy(rem.data(), ap, n);
-    const Limb borrow = sub(rem.data(), rem.data(), n, sq.data(), sqn);
-    CAMP_ASSERT(borrow == 0);
-    const std::size_t rn = normalized_size(rem.data(), n);
     if (rp) {
         zero(rp, an);
-        copy(rp, rem.data(), rn);
+        copy(rp, r2.data(), rn);
     }
     return rn;
 }

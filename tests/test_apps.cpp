@@ -47,22 +47,89 @@ TEST(PiApp, TermEstimate)
     EXPECT_GE(pi_app::terms_for_digits(1000000), 70510u);
 }
 
-TEST(PiApp, BinarySplittingMergeInvariant)
+namespace {
+
+using camp::mpz::Integer;
+
+/** The triple of the single term [k, k + 1), one Integer op at a time,
+ * independent of the library's leaf blocks. */
+pi_app::SplitTriple
+reference_term(std::uint64_t k)
 {
-    // T(a,b) = T(a,m) Q(m,b) + P(a,m) T(m,b) must equal direct leaves.
-    const auto whole = pi_app::binary_split(0, 8);
-    auto acc = pi_app::binary_split(0, 1);
-    for (std::uint64_t k = 1; k < 8; ++k) {
-        const auto leaf = pi_app::binary_split(k, k + 1);
+    pi_app::SplitTriple leaf;
+    if (k == 0) {
+        leaf.p = Integer(1);
+        leaf.q = Integer(1);
+    } else {
+        // P(k-1, k) = (6k-5)(2k-1)(6k-1)  [paper Algorithm 1's R]
+        leaf.p = Integer(static_cast<std::int64_t>(6 * k - 5)) *
+                 Integer(static_cast<std::int64_t>(2 * k - 1)) *
+                 Integer(static_cast<std::int64_t>(6 * k - 1));
+        // Q(k-1, k) = 10939058860032000 k^3 (= 640320^3 / 24 * k^3)
+        leaf.q = Integer(Natural(10939058860032000ULL)) *
+                 Integer::pow(Integer(static_cast<std::int64_t>(k)), 3);
+    }
+    // T contribution: P * (13591409 + 545140134 k) * (-1)^k.
+    leaf.t = leaf.p * (Integer(13591409) +
+                       Integer(545140134) *
+                           Integer(static_cast<std::int64_t>(k)));
+    if (k & 1)
+        leaf.t = -leaf.t;
+    return leaf;
+}
+
+/** The triple over [a, b) from per-term leaves, merged left to right
+ * by the rule T(a,b) = T(a,m) Q(m,b) + P(a,m) T(m,b). */
+pi_app::SplitTriple
+reference_split(std::uint64_t a, std::uint64_t b)
+{
+    pi_app::SplitTriple acc = reference_term(a);
+    for (std::uint64_t k = a + 1; k < b; ++k) {
+        const pi_app::SplitTriple leaf = reference_term(k);
         pi_app::SplitTriple merged;
         merged.p = acc.p * leaf.p;
         merged.q = acc.q * leaf.q;
         merged.t = acc.t * leaf.q + acc.p * leaf.t;
         acc = merged;
     }
-    EXPECT_EQ(acc.p, whole.p);
-    EXPECT_EQ(acc.q, whole.q);
-    EXPECT_EQ(acc.t, whole.t);
+    return acc;
+}
+
+} // namespace
+
+TEST(PiApp, BinarySplittingMergeInvariant)
+{
+    // binary_split(0, 20) (leaf blocks and merges above them) must
+    // equal the per-term leaves merged one at a time.
+    const auto whole = pi_app::binary_split(0, 20);
+    const auto reference = reference_split(0, 20);
+    EXPECT_EQ(whole.p, reference.p);
+    EXPECT_EQ(whole.q, reference.q);
+    EXPECT_EQ(whole.t, reference.t);
+}
+
+TEST(PiApp, BinarySplitMatchesPerTermReference)
+{
+    // Ranges inside one leaf block, across block edges, from a = 0, from
+    // odd and even a, and near k = 1e9, where q_k = 10939058860032000 k^3
+    // is three limbs wide.
+    const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
+        {0, 1},     {0, 2},     {0, 7},     {0, 8},
+        {0, 9},     {0, 17},    {0, 33},    {1, 2},
+        {1, 9},     {3, 20},    {6, 31},    {7, 8},
+        {8, 16},    {9, 26},    {14, 47},   {100, 101},
+        {101, 140}, {1000000000, 1000000001},
+        {999999999, 1000000013},  {1000000000, 1000000040},
+    };
+    for (const auto& [a, b] : ranges) {
+        SCOPED_TRACE("[" + std::to_string(a) + ", " + std::to_string(b) +
+                     ")");
+        const auto split = pi_app::binary_split(a, b);
+        const auto reference = reference_split(a, b);
+        EXPECT_EQ(split.p, reference.p);
+        EXPECT_EQ(split.q, reference.q);
+        EXPECT_EQ(split.t, reference.t);
+    }
 }
 
 TEST(FracApp, ParseDecimalRoundTrip)

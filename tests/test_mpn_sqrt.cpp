@@ -182,3 +182,94 @@ TEST(MpnSqrt, KernelInterfaceRemainderSize)
     mpn::sqrtrem(s2.data(), nullptr, a.data(), a.size());
     EXPECT_EQ(s, s2);
 }
+
+// ---------------------------------------------------------------------
+// The remainder is derived from the normalisation shift, not from a
+// re-square: every case below checks r against a - s^2 computed here.
+// ---------------------------------------------------------------------
+
+namespace {
+
+void
+check_remainder(const Natural& a)
+{
+    auto [s, r] = Natural::sqrtrem(a);
+    const Natural square = s * s;
+    ASSERT_LE(square, a);
+    EXPECT_EQ(r, a - square);
+    EXPECT_LE(r, s + s);
+}
+
+} // namespace
+
+TEST(MpnSqrt, DerivedRemainderEveryEvenShift)
+{
+    // The top limb's leading zeros set the shift e = 2k; walk every even
+    // e in 0..62 at one, two, three and many limbs, with the low root
+    // bits c that the shift removes both zero and nonzero.
+    camp::Rng rng(35);
+    for (unsigned e = 0; e <= 62; e += 2) {
+        for (const std::size_t limbs : {1u, 2u, 3u, 7u, 40u}) {
+            SCOPED_TRACE("e=" + std::to_string(e) +
+                         " limbs=" + std::to_string(limbs));
+            // Top limb with exactly e or e + 1 leading zeros.
+            for (const std::uint64_t lead : {0u, 1u}) {
+                const std::uint64_t bits = 64 * limbs - e - lead;
+                if (bits == 0)
+                    continue;
+                check_remainder(Natural::random_bits(rng, bits));
+                check_remainder((Natural(1) << (bits - 1)));
+                check_remainder((Natural(1) << bits) - Natural(1));
+            }
+        }
+    }
+}
+
+TEST(MpnSqrt, DerivedRemainderAroundPerfectSquares)
+{
+    camp::Rng rng(36);
+    for (const std::uint64_t bits :
+         {1u, 2u, 31u, 32u, 33u, 63u, 64u, 65u, 100u, 191u, 1000u, 4097u}) {
+        for (int iter = 0; iter < 4; ++iter) {
+            SCOPED_TRACE("root bits=" + std::to_string(bits));
+            const Natural root = Natural::random_bits(rng, bits);
+            const Natural square = root * root;
+            check_remainder(square);
+            check_remainder(square + Natural(1));
+            check_remainder(square - Natural(1));
+            // The largest value with this root: r == 2s exactly.
+            const Natural top = square + root + root;
+            auto [s, r] = Natural::sqrtrem(top);
+            EXPECT_EQ(s, root);
+            EXPECT_EQ(r, root + root);
+        }
+    }
+}
+
+TEST(MpnSqrt, DerivedRemainderAllOnesLimbs)
+{
+    // All-ones limbs drive the q == B^l clamp; shifting them down by
+    // 2j bits makes the same values reach the shift path too.
+    for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 12u, 33u, 64u}) {
+        const Natural ones = (Natural(1) << (64 * n)) - Natural(1);
+        for (const unsigned shift : {0u, 2u, 30u, 62u}) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " shift=" + std::to_string(shift));
+            check_remainder(ones >> shift);
+        }
+    }
+}
+
+TEST(MpnSqrt, DerivedRemainderPiSizedOperand)
+{
+    // Pi's sqrt argument 10005 * 10^(2 (d + g)) at d = 1e5 digits
+    // (10383 limbs), and 10384-limb operands at other shifts.
+    camp::Rng rng(37);
+    const Natural scale = Natural::pow10(100010);
+    const Natural pi_arg = Natural(10005) * scale * scale;
+    ASSERT_EQ(pi_arg.size(), 10383u);
+    check_remainder(pi_arg);
+    check_remainder(pi_arg - Natural(1));
+    check_remainder(Natural::random_bits(rng, 64 * 10384));
+    check_remainder(Natural::random_bits(rng, 64 * 10384 - 37));
+}

@@ -5,7 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "mpn/natural.hpp"
 #include "support/rng.hpp"
@@ -111,6 +114,76 @@ TEST(Natural, Pow10MatchesDecimal)
         std::string expect = "1" + std::string(e, '0');
         EXPECT_EQ(p.to_decimal(), expect);
     }
+}
+
+namespace {
+
+/** Decimal digits by repeated division by 10^19, 19 digits at a time. */
+std::string
+reference_decimal(Natural n)
+{
+    const Natural chunk_base(10000000000000000000ull);
+    std::string out;
+    while (!n.is_zero()) {
+        auto [q, r] = Natural::divrem(n, chunk_base);
+        std::string chunk = std::to_string(r.to_uint64());
+        if (!q.is_zero())
+            chunk.insert(0, 19 - chunk.size(), '0');
+        out.insert(0, chunk);
+        n = q;
+    }
+    return out.empty() ? "0" : out;
+}
+
+} // namespace
+
+TEST(Natural, ToDecimalMatchesChunkedReferenceAtBasecaseSeams)
+{
+    // The recursion hands values of at most 16 limbs to one-limb
+    // division; cover both sides of that size, zero 19-digit chunks
+    // inside a value and zero padding between recursion halves.
+    camp::Rng rng(52);
+    for (const std::uint64_t limbs : {1u, 2u, 15u, 16u, 17u, 32u, 33u, 70u}) {
+        for (const std::uint64_t trim : {0u, 1u, 63u}) {
+            const Natural a = Natural::random_bits(rng, 64 * limbs - trim);
+            EXPECT_EQ(a.to_decimal(), reference_decimal(a))
+                << "limbs=" << limbs << " trim=" << trim;
+        }
+    }
+    for (const std::uint64_t e : {19u, 38u, 300u, 304u, 320u, 1024u, 1300u}) {
+        const Natural p = Natural::pow10(e);
+        for (const Natural& a : {p - Natural(1), p + Natural(1),
+                                 p * Natural(7) + Natural(3)}) {
+            EXPECT_EQ(a.to_decimal(), reference_decimal(a)) << "e=" << e;
+        }
+    }
+}
+
+TEST(Natural, ConcurrentDecimalConversionsShareThePowerTable)
+{
+    // Two threads fill the process-wide 10^(2^k) table at once; each
+    // must still see stable, correct powers. CI runs this under
+    // ThreadSanitizer. 10^(2^15) is above every power the other tests
+    // here reach, so the table grows concurrently even when the whole
+    // binary runs in one process.
+    constexpr unsigned kLog2Digits = 15;
+    const std::string expect =
+        "1" + std::string(std::size_t{1} << kLog2Digits, '0');
+    std::atomic<int> ready{0};
+    std::string results[2];
+    auto convert = [&](int i) {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        results[i] = Natural::pow10(std::uint64_t{1} << kLog2Digits)
+                         .to_decimal();
+    };
+    std::thread first(convert, 0);
+    std::thread second(convert, 1);
+    first.join();
+    second.join();
+    EXPECT_EQ(results[0], expect);
+    EXPECT_EQ(results[1], expect);
 }
 
 TEST(Natural, GcdProperties)
